@@ -89,6 +89,22 @@ impl FilterConfig {
             hash: SetHash::LowBits,
         }
     }
+
+    /// Checks the geometry and counter width without panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description of the first violated bound.
+    pub fn check(&self) -> Result<(), String> {
+        self.geometry()
+            .shape()
+            .check()
+            .map_err(|e| format!("filter table: {e}"))?;
+        if self.max_count == 0 {
+            return Err("filter counters must hold at least 1".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// Filter-side activity counters.
@@ -155,7 +171,9 @@ impl StoreFilter {
     /// Panics if `config.sets` is not a power of two or `config.ways` /
     /// `config.max_count` is zero.
     pub fn new(config: FilterConfig) -> StoreFilter {
-        assert!(config.max_count > 0, "filter counters must hold at least 1");
+        if let Err(e) = config.check() {
+            panic!("{e}");
+        }
         StoreFilter {
             config,
             table: SetTable::new(config.geometry()),

@@ -74,8 +74,8 @@ pub use crate::pcax::{PcaxBackend, PcaxConfig, PcaxPredStats, PcaxStats, MAX_CON
 // to the structures that raise them; re-exported so the pipeline needs only
 // this crate to configure and talk to a backend.
 pub use aim_core::{
-    CorruptionPolicy, MdtConfig, MdtStats, MdtTagging, PartialMatchPolicy, SetHash, SfcConfig,
-    SfcStats, TableGeometry, TrueDepRecovery, Violation,
+    CorruptionPolicy, MdtConfig, MdtStats, MdtTagging, PartialMatchPolicy, SetHash, SetsWays,
+    SfcConfig, SfcStats, TableGeometry, TrueDepRecovery, Violation,
 };
 pub use aim_lsq::{LsqConfig, LsqStats};
 

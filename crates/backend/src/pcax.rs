@@ -85,19 +85,33 @@ impl PcaxConfig {
         }
     }
 
-    /// Panics unless the table shape and thresholds are well-formed
+    /// Checks the table shape and thresholds without panicking
     /// (thresholds in 1..=[`MAX_CONF`]: a zero threshold would act on
     /// evicted entries, one above the ceiling would never act).
-    pub fn validate(&self) {
-        self.table.validate("pcax table");
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description of the first violated bound.
+    pub fn check(&self) -> Result<(), String> {
+        self.table
+            .shape()
+            .check()
+            .map_err(|e| format!("pcax table: {e}"))?;
         for (name, t) in [
             ("no_alias_act", self.no_alias_act),
             ("forward_act", self.forward_act),
         ] {
-            assert!(
-                (1..=MAX_CONF).contains(&t),
-                "pcax {name} must be in 1..={MAX_CONF}, got {t}"
-            );
+            if !(1..=MAX_CONF).contains(&t) {
+                return Err(format!("pcax {name} must be in 1..={MAX_CONF}, got {t}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Panics unless [`PcaxConfig::check`] passes.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 }

@@ -72,7 +72,7 @@ fn geometry_backend_params() -> Vec<(String, BackendParams)> {
             hash: SetHash::LowBits,
         };
         out.push((
-            format!("pcax@{}", table.label()),
+            format!("pcax@{}", table.shape()),
             BackendParams::new(BackendConfig::Pcax {
                 sfc: SfcConfig::baseline(),
                 mdt: MdtConfig::baseline(),
@@ -80,7 +80,7 @@ fn geometry_backend_params() -> Vec<(String, BackendParams)> {
             }),
         ));
         out.push((
-            format!("filtered@{}", table.label()),
+            format!("filtered@{}", table.shape()),
             BackendParams::new(BackendConfig::FilteredLsq {
                 lsq: LsqConfig::baseline_48x32(),
                 filter: FilterConfig {

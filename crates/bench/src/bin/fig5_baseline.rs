@@ -13,7 +13,6 @@ use aim_bench::{
     csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
     suite_means, CsvTable, SweepReport,
 };
-use aim_workloads::Suite;
 
 fn main() {
     let scale = scale_from_args();
@@ -49,7 +48,7 @@ fn main() {
         not_enf_rows.push((p.suite, not_enf_norm));
         csv.row(&[
             p.name.to_string(),
-            format!("{:?}", p.suite).to_lowercase(),
+            p.suite.to_string(),
             format!("{:.4}", lsq.ipc()),
             format!("{enf_norm:.4}"),
             format!("{not_enf_norm:.4}"),
@@ -57,7 +56,7 @@ fn main() {
         println!(
             "{:<11} {:>6} | {:>9.3} {:>9} | {:>8.3} {:>8.3}",
             p.name,
-            if p.suite == Suite::Int { "int" } else { "fp" },
+            p.suite,
             lsq.ipc(),
             "",
             enf_norm,

@@ -14,7 +14,6 @@ use aim_bench::{
     csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
     suite_means, CsvTable, SweepReport,
 };
-use aim_workloads::Suite;
 
 fn main() {
     let scale = scale_from_args();
@@ -59,7 +58,7 @@ fn main() {
         enf_rows.push((p.suite, enf));
         csv.row(&[
             p.name.to_string(),
-            format!("{:?}", p.suite).to_lowercase(),
+            p.suite.to_string(),
             format!("{:.4}", reference.ipc()),
             format!("{big:.4}"),
             format!("{small:.4}"),
@@ -68,7 +67,7 @@ fn main() {
         println!(
             "{:<11} {:>6} | {:>9.3} | {:>10.3} {:>10.3} {:>12.3}",
             p.name,
-            if p.suite == Suite::Int { "int" } else { "fp" },
+            p.suite,
             reference.ipc(),
             big,
             small,

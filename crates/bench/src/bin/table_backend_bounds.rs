@@ -15,7 +15,6 @@ use aim_bench::{
     csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
     suite_means, CsvTable, SweepReport,
 };
-use aim_workloads::Suite;
 
 fn main() {
     let scale = scale_from_args();
@@ -68,7 +67,7 @@ fn main() {
         oracle_rows.push((p.suite, oracle));
         csv.row(&[
             p.name.to_string(),
-            format!("{:?}", p.suite).to_lowercase(),
+            p.suite.to_string(),
             format!("{:.4}", lsq.ipc()),
             format!("{nospec:.4}"),
             format!("{sfc:.4}"),
@@ -78,7 +77,7 @@ fn main() {
         println!(
             "{:<11} {:>6} | {:>8.3} | {:>8.3} {:>8.3} {:>8.3} | {:>6.1}%",
             p.name,
-            if p.suite == Suite::Int { "int" } else { "fp" },
+            p.suite,
             lsq.ipc(),
             nospec,
             sfc,

@@ -11,7 +11,6 @@
 use aim_bench::{
     jobs_from_args, rule, run_matrix_timed, scale_from_args, specs, suite_means, SweepReport,
 };
-use aim_workloads::Suite;
 
 fn main() {
     let scale = scale_from_args();
@@ -45,7 +44,7 @@ fn main() {
         println!(
             "{:<11} {:>6} | {:>11.3} | {:>12.3} {:>12.3}",
             p.name,
-            if p.suite == Suite::Int { "int" } else { "fp" },
+            p.suite,
             base,
             pairwise,
             total

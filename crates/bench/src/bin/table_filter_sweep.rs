@@ -22,7 +22,8 @@
 
 use aim_bench::{
     csv_path_from_args, find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed,
-    scale_from_args, specs, CsvTable, FilterSweepReport, FilterSweepRow, KneePoint, SweepReport,
+    scale_from_args, specs, CsvTable, FilterSweepReport, FilterSweepRow, KneePoint, Report,
+    SweepReport,
 };
 use aim_pipeline::FilterStats;
 use aim_types::geomean;
@@ -196,10 +197,7 @@ fn main() {
         knee: k.name.clone(),
         rows,
     };
-    match report.write_default() {
-        Ok(path) => println!("filter sweep report — {path}"),
-        Err(e) => eprintln!("filter sweep report not written: {e}"),
-    }
+    report.publish("filter sweep");
     SweepReport::from_matrix(spec.artifact, jobs, wall, &prepared, &spec.configs, &matrix).emit();
 
     assert!(

@@ -17,8 +17,8 @@
 
 use aim_bench::{
     csv_path_from_args, fingerprint_stats, has_flag, jobs_from_args, rule, run_matrix,
-    run_matrix_timed, run_multi_n1, scale_from_args, scale_token, specs, stats_fingerprint,
-    CsvTable, HostperfReport,
+    run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint, CsvTable,
+    HostperfReport, Report,
 };
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     println!(
         "Host throughput — {} kernels at --scale {}, all backends on both machine classes",
         prepared.len(),
-        scale_token(scale)
+        scale
     );
     rule(78);
     println!(
@@ -122,7 +122,7 @@ fn main() {
     println!(
         "hostperf: {verdict} fingerprint={:#018x} scale={} configs={} kernels={}",
         report.stats_fingerprint,
-        scale_token(scale),
+        scale,
         spec.configs.len(),
         prepared.len()
     );

@@ -27,10 +27,9 @@
 
 use aim_bench::{
     csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
-    suite_means, CsvTable, HybridReport, HybridRow, SweepReport,
+    suite_means, CsvTable, HybridReport, HybridRow, Report, SweepReport,
 };
 use aim_pipeline::SimStats;
-use aim_workloads::Suite;
 
 /// Fraction of dynamic load lookups that skipped the structure, for either
 /// filter: skipped / (skipped + paid).
@@ -124,7 +123,7 @@ fn main() {
         nospec_rows.push((p.suite, nospec));
         filt_rows.push((p.suite, filtered));
         oracle_rows.push((p.suite, oracle));
-        let suite = if p.suite == Suite::Int { "int" } else { "fp" };
+        let suite = p.suite.to_string();
         csv.row(&[
             p.name.to_string(),
             suite.to_string(),
@@ -190,10 +189,7 @@ fn main() {
         artifact: spec.artifact.to_string(),
         rows,
     };
-    match report.write_default() {
-        Ok(path) => println!("hybrid report — {path}"),
-        Err(e) => eprintln!("hybrid report not written: {e}"),
-    }
+    report.publish("hybrid");
     SweepReport::from_matrix(spec.artifact, jobs, wall, &prepared, &spec.configs, &matrix).emit();
 
     assert!(

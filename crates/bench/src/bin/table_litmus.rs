@@ -15,16 +15,14 @@
 //! `BENCH_litmus.json` output path. `scripts/tier1.sh` runs this at a tiny
 //! schedule count and greps the `litmus: ACCEPT` line.
 
-use aim_bench::{rule, LitmusReport};
+use aim_bench::{flag_value, rule, LitmusReport, Report};
 
 /// `--schedules N` beats `AIM_LITMUS_SCHEDULES` beats the default 200.
 fn schedules_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--schedules") {
-        return args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("--schedules needs a number"));
+    if let Some(v) = flag_value("--schedules") {
+        return v
+            .parse()
+            .unwrap_or_else(|_| panic!("--schedules needs a number"));
     }
     std::env::var("AIM_LITMUS_SCHEDULES")
         .ok()

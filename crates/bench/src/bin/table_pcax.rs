@@ -21,9 +21,8 @@
 
 use aim_bench::{
     csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
-    suite_means, CsvTable, PcaxReport, PcaxRow, SweepReport,
+    suite_means, CsvTable, PcaxReport, PcaxRow, Report, SweepReport,
 };
-use aim_workloads::Suite;
 
 fn main() {
     let scale = scale_from_args();
@@ -98,7 +97,7 @@ fn main() {
         nospec_rows.push((p.suite, nospec));
         pcax_rows.push((p.suite, pcax));
         oracle_rows.push((p.suite, oracle));
-        let suite = if p.suite == Suite::Int { "int" } else { "fp" };
+        let suite = p.suite.to_string();
         csv.row(&[
             p.name.to_string(),
             suite.to_string(),
@@ -165,10 +164,7 @@ fn main() {
         artifact: spec.artifact.to_string(),
         rows,
     };
-    match report.write_default() {
-        Ok(path) => println!("pcax report — {path}"),
-        Err(e) => eprintln!("pcax report not written: {e}"),
-    }
+    report.publish("pcax");
     SweepReport::from_matrix(spec.artifact, jobs, wall, &prepared, &spec.configs, &matrix).emit();
 
     assert!(

@@ -20,7 +20,8 @@
 
 use aim_bench::{
     csv_path_from_args, find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed,
-    scale_from_args, specs, CsvTable, KneePoint, PcaxSweepReport, PcaxSweepRow, SweepReport,
+    scale_from_args, specs, CsvTable, KneePoint, PcaxSweepReport, PcaxSweepRow, Report,
+    SweepReport,
 };
 use aim_pipeline::PcaxPredStats;
 use aim_types::geomean;
@@ -191,10 +192,7 @@ fn main() {
         knee: k.name.clone(),
         rows,
     };
-    match report.write_default() {
-        Ok(path) => println!("pcax sweep report — {path}"),
-        Err(e) => eprintln!("pcax sweep report not written: {e}"),
-    }
+    report.publish("pcax sweep");
     SweepReport::from_matrix(spec.artifact, jobs, wall, &prepared, &spec.configs, &matrix).emit();
 
     assert!(

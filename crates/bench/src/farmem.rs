@@ -31,8 +31,8 @@
 //! }
 //! ```
 
-use crate::hostperf::scale_token;
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One (workload × machine class × far latency) cell of the far-memory
@@ -97,120 +97,43 @@ pub struct FarMemReport {
     pub rows: Vec<FarMemRow>,
 }
 
-impl FarMemReport {
-    /// Renders the report as `aim-farmem-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.rows.len() * 420);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-farmem-report/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"cold_sims\": {},\n", self.cold_sims));
-        out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits));
-        out.push_str(&format!("  \"warm_sims\": {},\n", self.warm_sims));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"suite\": \"{}\", \"machine\": \"{}\", \
-                 \"window\": {}, \"far_latency\": {}, \"lsq_ipc\": {}, \
-                 \"nospec_norm\": {}, \"cam_norm\": {}, \"sfc_mdt_norm\": {}, \
-                 \"pcax_norm\": {}, \"oracle_norm\": {}, \"cam_gap_closed\": {}, \
-                 \"sfc_gap_closed\": {}, \"pcax_gap_closed\": {}, \
-                 \"far_accesses\": {}, \"far_coalesced\": {}, \
-                 \"far_overflow\": {}, \"far_peak_inflight\": {}}}",
-                json_escape(&r.workload),
-                json_escape(&r.suite),
-                json_escape(&r.machine),
-                r.window,
-                r.far_latency,
-                json_number(r.lsq_ipc),
-                json_number(r.nospec_norm),
-                json_number(r.cam_norm),
-                json_number(r.sfc_mdt_norm),
-                json_number(r.pcax_norm),
-                json_number(r.oracle_norm),
-                json_number(r.cam_gap_closed),
-                json_number(r.sfc_gap_closed),
-                json_number(r.pcax_gap_closed),
-                r.far_accesses,
-                r.far_coalesced,
-                r.far_overflow,
-                r.far_peak_inflight,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for FarMemReport {
+    type Row = FarMemRow;
+    const PATH_ENV: &'static str = "AIM_FARMEM_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_farmem.json";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-farmem-report/v1")
+            .put_str("artifact", &self.artifact)
+            .put_str("scale", &self.scale.to_string())
+            .put_u64("workers", self.workers as u64)
+            .put_u64("cold_sims", self.cold_sims)
+            .put_u64("warm_hits", self.warm_hits)
+            .put_u64("warm_sims", self.warm_sims);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[FarMemRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_FARMEM_JSON` if
-    /// set, else `BENCH_farmem.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_FARMEM_JSON").unwrap_or_else(|_| "BENCH_farmem.json".to_string());
-        self.write(&path)?;
-        Ok(path)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn farmem_json_renders_schema_and_balances() {
-        let report = FarMemReport {
-            artifact: "table_far_mem".to_string(),
-            scale: Scale::Tiny,
-            workers: 4,
-            cold_sims: 320,
-            warm_hits: 320,
-            warm_sims: 0,
-            rows: vec![FarMemRow {
-                workload: "gzip".to_string(),
-                suite: "int".to_string(),
-                machine: "huge".to_string(),
-                window: 4096,
-                far_latency: 800,
-                lsq_ipc: 1.2,
-                nospec_norm: 0.7,
-                cam_norm: 0.62,
-                sfc_mdt_norm: 1.9,
-                pcax_norm: 1.85,
-                oracle_norm: 1.92,
-                cam_gap_closed: 24.6,
-                sfc_gap_closed: 98.4,
-                pcax_gap_closed: 94.3,
-                far_accesses: 1200,
-                far_coalesced: 300,
-                far_overflow: 4,
-                far_peak_inflight: 64,
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aim-farmem-report/v1\""));
-        assert!(json.contains("\"window\": 4096"));
-        assert!(json.contains("\"warm_sims\": 0"));
-        assert!(json.contains("\"far_peak_inflight\": 64"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+    fn row(r: &FarMemRow, msg: &mut WireMsg) {
+        msg.put_str("workload", &r.workload)
+            .put_str("suite", &r.suite)
+            .put_str("machine", &r.machine)
+            .put_u64("window", r.window)
+            .put_u64("far_latency", r.far_latency)
+            .put_f64("lsq_ipc", r.lsq_ipc)
+            .put_f64("nospec_norm", r.nospec_norm)
+            .put_f64("cam_norm", r.cam_norm)
+            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
+            .put_f64("pcax_norm", r.pcax_norm)
+            .put_f64("oracle_norm", r.oracle_norm)
+            .put_f64("cam_gap_closed", r.cam_gap_closed)
+            .put_f64("sfc_gap_closed", r.sfc_gap_closed)
+            .put_f64("pcax_gap_closed", r.pcax_gap_closed)
+            .put_u64("far_accesses", r.far_accesses)
+            .put_u64("far_coalesced", r.far_coalesced)
+            .put_u64("far_overflow", r.far_overflow)
+            .put_u64("far_peak_inflight", r.far_peak_inflight);
     }
 }

@@ -16,8 +16,9 @@
 //! [`run_matrix`](crate::run_matrix) worker pool as every other artifact
 //! and parallelize across `--jobs`.
 
-use crate::sweep::{json_escape, json_number};
+use crate::{flag_value, Report};
 use aim_core::{SetHash, TableGeometry};
+use aim_types::wire::WireMsg;
 
 /// A cartesian sets × ways × knob grid over one tagged table.
 ///
@@ -74,14 +75,10 @@ impl GeometryGrid {
 ///
 /// Panics on an unknown grid name.
 pub fn grid_tiny_from_args() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--grid") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => true,
-            Some("full") | None => false,
-            Some(other) => panic!("unknown grid `{other}` (tiny|full)"),
-        },
-        None => false,
+    match flag_value("--grid").as_deref() {
+        Some("tiny") => true,
+        Some("full" | "") | None => false,
+        Some(other) => panic!("unknown grid `{other}` (tiny|full)"),
     }
 }
 
@@ -138,7 +135,7 @@ pub fn find_knee(points: &[KneePoint], baseline_knob: u32, tolerance: f64) -> Kn
 }
 
 /// One geometry point of the PCAX sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PcaxSweepRow {
     /// Point name (`setsxways@t<threshold>`).
     pub point: String,
@@ -175,71 +172,38 @@ pub struct PcaxSweepReport {
     pub rows: Vec<PcaxSweepRow>,
 }
 
-impl PcaxSweepReport {
-    /// Renders the report as `aim-pcax-sweep/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 240);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-pcax-sweep/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!(
-            "  \"baseline\": \"{}\",\n",
-            json_escape(&self.baseline)
-        ));
-        out.push_str(&format!("  \"knee\": \"{}\",\n", json_escape(&self.knee)));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"point\": \"{}\", \"sets\": {}, \"ways\": {}, \
-                 \"threshold\": {}, \"entries\": {}, \"ipc_norm\": {}, \
-                 \"gap_closed\": {}, \"coverage\": {}, \"accuracy\": {}, \
-                 \"sfc_probes_skipped\": {}}}",
-                json_escape(&r.point),
-                r.sets,
-                r.ways,
-                r.threshold,
-                r.entries,
-                json_number(r.ipc_norm),
-                json_number(r.gap_closed),
-                json_number(r.coverage),
-                json_number(r.accuracy),
-                r.sfc_probes_skipped,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for PcaxSweepReport {
+    type Row = PcaxSweepRow;
+    const PATH_ENV: &'static str = "AIM_PCAX_SWEEP_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_pcax_sweep.json";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-pcax-sweep/v1")
+            .put_str("artifact", &self.artifact)
+            .put_str("baseline", &self.baseline)
+            .put_str("knee", &self.knee);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[PcaxSweepRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_PCAX_SWEEP_JSON`
-    /// if set, else `BENCH_pcax_sweep.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_PCAX_SWEEP_JSON")
-            .unwrap_or_else(|_| "BENCH_pcax_sweep.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &PcaxSweepRow, msg: &mut WireMsg) {
+        msg.put_str("point", &r.point)
+            .put_u64("sets", r.sets as u64)
+            .put_u64("ways", r.ways as u64)
+            .put_u64("threshold", r.threshold as u64)
+            .put_u64("entries", r.entries as u64)
+            .put_f64("ipc_norm", r.ipc_norm)
+            .put_f64("gap_closed", r.gap_closed)
+            .put_f64("coverage", r.coverage)
+            .put_f64("accuracy", r.accuracy)
+            .put_u64("sfc_probes_skipped", r.sfc_probes_skipped);
     }
 }
 
 /// One geometry point of the filter sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FilterSweepRow {
     /// Point name (`setsxways@c<max_count>`).
     pub point: String,
@@ -277,66 +241,33 @@ pub struct FilterSweepReport {
     pub rows: Vec<FilterSweepRow>,
 }
 
-impl FilterSweepReport {
-    /// Renders the report as `aim-filter-sweep/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 240);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-filter-sweep/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!(
-            "  \"baseline\": \"{}\",\n",
-            json_escape(&self.baseline)
-        ));
-        out.push_str(&format!("  \"knee\": \"{}\",\n", json_escape(&self.knee)));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"point\": \"{}\", \"sets\": {}, \"ways\": {}, \
-                 \"max_count\": {}, \"entries\": {}, \"ipc_norm\": {}, \
-                 \"gap_closed\": {}, \"filter_rate\": {}, \
-                 \"false_positive_hits\": {}, \"saturation_fallbacks\": {}}}",
-                json_escape(&r.point),
-                r.sets,
-                r.ways,
-                r.max_count,
-                r.entries,
-                json_number(r.ipc_norm),
-                json_number(r.gap_closed),
-                json_number(r.filter_rate),
-                r.false_positive_hits,
-                r.saturation_fallbacks,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for FilterSweepReport {
+    type Row = FilterSweepRow;
+    const PATH_ENV: &'static str = "AIM_FILTER_SWEEP_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_filter_sweep.json";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-filter-sweep/v1")
+            .put_str("artifact", &self.artifact)
+            .put_str("baseline", &self.baseline)
+            .put_str("knee", &self.knee);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[FilterSweepRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_FILTER_SWEEP_JSON`
-    /// if set, else `BENCH_filter_sweep.json` in the working directory —
-    /// and returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_FILTER_SWEEP_JSON")
-            .unwrap_or_else(|_| "BENCH_filter_sweep.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &FilterSweepRow, msg: &mut WireMsg) {
+        msg.put_str("point", &r.point)
+            .put_u64("sets", r.sets as u64)
+            .put_u64("ways", r.ways as u64)
+            .put_u64("max_count", r.max_count as u64)
+            .put_u64("entries", r.entries as u64)
+            .put_f64("ipc_norm", r.ipc_norm)
+            .put_f64("gap_closed", r.gap_closed)
+            .put_f64("filter_rate", r.filter_rate)
+            .put_u64("false_positive_hits", r.false_positive_hits)
+            .put_u64("saturation_fallbacks", r.saturation_fallbacks);
     }
 }
 
@@ -359,7 +290,7 @@ mod tests {
         let pts = grid().points();
         let names: Vec<String> = pts
             .iter()
-            .map(|(g, k)| format!("{}@{k}", g.label()))
+            .map(|(g, k)| format!("{}@{k}", g.shape()))
             .collect();
         assert_eq!(
             names,
@@ -421,14 +352,8 @@ mod tests {
             rows: vec![PcaxSweepRow {
                 point: "64x1@t2".to_string(),
                 sets: 64,
-                ways: 1,
-                threshold: 2,
-                entries: 64,
-                ipc_norm: 1.01,
-                gap_closed: 97.5,
-                coverage: 0.91,
-                accuracy: 0.99,
                 sfc_probes_skipped: 1234,
+                ..PcaxSweepRow::default()
             }],
         };
         let json = report.to_json();
@@ -449,14 +374,9 @@ mod tests {
             rows: vec![FilterSweepRow {
                 point: "64x1@c15".to_string(),
                 sets: 64,
-                ways: 1,
                 max_count: 15,
-                entries: 64,
-                ipc_norm: 1.0,
-                gap_closed: 42.0,
-                filter_rate: 0.87,
-                false_positive_hits: 55,
                 saturation_fallbacks: 3,
+                ..FilterSweepRow::default()
             }],
         };
         let json = report.to_json();

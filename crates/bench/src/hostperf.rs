@@ -17,8 +17,8 @@
 //! single worker and rejects if the fingerprints diverge (jobs=N ≡ jobs=1
 //! determinism).
 //!
-//! Emitted JSON (`aim-hostperf-report/v1`, hand-written — no serde in the
-//! offline build):
+//! Emitted JSON (`aim-hostperf-report/v1`, through the shared [`Report`]
+//! writer):
 //!
 //! ```json
 //! {
@@ -43,13 +43,13 @@
 //! }
 //! ```
 
-use crate::sweep::{json_escape, json_number};
-use crate::Matrix;
+use crate::{Matrix, Report};
 use aim_pipeline::SimConfig;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One backend × machine-class row, aggregated over every workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HostperfRow {
     /// Configuration name (`base-…` / `aggr-…`).
     pub config: String,
@@ -82,16 +82,6 @@ pub struct HostperfReport {
     pub stats_fingerprint: u64,
     /// One row per configuration, in spec order.
     pub rows: Vec<HostperfRow>,
-}
-
-/// The scale's command-line token.
-pub fn scale_token(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-        Scale::Huge => "huge",
-    }
 }
 
 /// FNV-1a over the `Debug` rendering of each statistics record with its
@@ -195,65 +185,38 @@ impl HostperfReport {
             rows,
         }
     }
+}
 
-    /// Renders the report as `aim-hostperf-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 200);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-hostperf-report/v1\",\n");
-        out.push_str("  \"artifact\": \"table_hostperf\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            json_number(self.wall_seconds)
-        ));
-        out.push_str(&format!(
-            "  \"stats_fingerprint\": \"{:#018x}\",\n",
-            self.stats_fingerprint
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"config\": \"{}\", \"machine\": \"{}\", \"backend\": \"{}\", \
-                 \"sim_cycles\": {}, \"retired\": {}, \"host_seconds\": {}, \
-                 \"kcycles_per_sec\": {}, \"retired_mips\": {}}}",
-                json_escape(&row.config),
-                json_escape(&row.machine),
-                json_escape(&row.backend),
-                row.sim_cycles,
-                row.retired,
-                json_number(row.host_seconds),
-                json_number(row.kcycles_per_sec),
-                json_number(row.retired_mips),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for HostperfReport {
+    type Row = HostperfRow;
+    const PATH_ENV: &'static str = "AIM_HOSTPERF_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_hostperf.json";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-hostperf-report/v1")
+            .put_str("artifact", "table_hostperf")
+            .put_str("scale", &self.scale.to_string())
+            .put_u64("jobs", self.jobs as u64)
+            .put_f64("wall_seconds", self.wall_seconds)
+            .put_str(
+                "stats_fingerprint",
+                &format!("{:#018x}", self.stats_fingerprint),
+            );
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[HostperfRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_HOSTPERF_JSON` if
-    /// set, else `BENCH_hostperf.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_HOSTPERF_JSON")
-            .unwrap_or_else(|_| "BENCH_hostperf.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &HostperfRow, msg: &mut WireMsg) {
+        msg.put_str("config", &r.config)
+            .put_str("machine", &r.machine)
+            .put_str("backend", &r.backend)
+            .put_u64("sim_cycles", r.sim_cycles)
+            .put_u64("retired", r.retired)
+            .put_f64("host_seconds", r.host_seconds)
+            .put_f64("kcycles_per_sec", r.kcycles_per_sec)
+            .put_f64("retired_mips", r.retired_mips);
     }
 }
 
@@ -270,12 +233,7 @@ mod tests {
             rows: vec![HostperfRow {
                 config: "base-sfc-mdt-enf".to_string(),
                 machine: "baseline".to_string(),
-                backend: "sfc-mdt-enf".to_string(),
-                sim_cycles: 1000,
-                retired: 500,
-                host_seconds: 0.01,
-                kcycles_per_sec: 100.0,
-                retired_mips: 0.05,
+                ..HostperfRow::default()
             }],
         }
     }
@@ -294,8 +252,10 @@ mod tests {
 
     #[test]
     fn scale_tokens_match_the_cli() {
-        assert_eq!(scale_token(Scale::Tiny), "tiny");
-        assert_eq!(scale_token(Scale::Small), "small");
-        assert_eq!(scale_token(Scale::Full), "full");
+        for scale in Scale::ALL {
+            let json = HostperfReport { scale, ..report() }.to_json();
+            assert!(json.contains(&format!("\"scale\": \"{scale}\"")), "{json}");
+            assert_eq!(scale.to_string().parse(), Ok(scale));
+        }
     }
 }

@@ -44,6 +44,7 @@ mod hybrid;
 mod litmus;
 mod matrix;
 mod pcax;
+mod report;
 mod sampled;
 mod serve_report;
 pub mod specs;
@@ -58,13 +59,14 @@ pub use geometry_sweep::{
     KneePoint, PcaxSweepReport, PcaxSweepRow,
 };
 pub use hostperf::{
-    fingerprint_stats, fingerprint_text, fingerprint_texts, scale_token, stats_fingerprint,
-    HostperfReport, HostperfRow,
+    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint, HostperfReport,
+    HostperfRow,
 };
 pub use hybrid::{HybridReport, HybridRow};
-pub use litmus::{LitmusReport, LitmusRow};
+pub use litmus::{litmus_outcomes, LitmusReport, LitmusRow};
 pub use matrix::{run_matrix, run_matrix_timed, Matrix};
 pub use pcax::{PcaxReport, PcaxRow};
+pub use report::Report;
 pub use sampled::{SampledReport, SampledRow};
 pub use serve_report::{ServeReport, ServeRound};
 pub use sweep::{SweepReport, SweepRow};
@@ -143,18 +145,22 @@ pub fn run_multi_n1(p: &Prepared, cfg: &SimConfig) -> SimStats {
     stats.per_core.into_iter().next().expect("one core ran")
 }
 
+/// The word after `--flag` on the command line, if the flag is present
+/// (`Some("")` when it is the last word).
+pub fn flag_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next().map(|_| args.next().unwrap_or_default())
+}
+
 /// Parses `--scale tiny|small|full|huge` from the command line (default
 /// `full`).
+///
+/// # Panics
+///
+/// Panics on an unknown scale token.
 pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => Scale::Tiny,
-            Some("small") => Scale::Small,
-            Some("full") | None => Scale::Full,
-            Some("huge") => Scale::Huge,
-            Some(other) => panic!("unknown scale `{other}` (tiny|small|full|huge)"),
-        },
+    match flag_value("--scale").filter(|v| !v.is_empty()) {
+        Some(token) => token.parse().unwrap_or_else(|e| panic!("{e}")),
         None => Scale::Full,
     }
 }
@@ -226,10 +232,7 @@ pub fn jobs_from_args() -> usize {
 
 /// Parses `--csv <path>` from the command line, if present.
 pub fn csv_path_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned())
+    flag_value("--csv").filter(|v| !v.is_empty())
 }
 
 /// A minimal CSV emitter for the figure harnesses (numbers and plain names

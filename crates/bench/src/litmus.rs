@@ -10,8 +10,8 @@
 //! sibling before retirement (or own-store forwarding broke), and the
 //! binary rejects.
 //!
-//! Emitted JSON (`aim-litmus-report/v1`, hand-written — no serde in the
-//! offline build):
+//! Emitted JSON (`aim-litmus-report/v1`, through the shared [`Report`]
+//! writer):
 //!
 //! ```json
 //! {
@@ -35,9 +35,31 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use crate::sweep::{json_escape, json_number};
-use aim_isa::{allowed_outcomes, litmus_suite, RefLimits};
+use crate::Report;
+use aim_isa::{allowed_outcomes, litmus_suite, LitmusTest, RefLimits};
 use aim_pipeline::{run_litmus, BackendChoice, CoreSchedule, MachineClass, SimConfig};
+use aim_types::wire::WireMsg;
+
+/// The distinct outcomes `test` produces under `cfg` across round-robin
+/// plus `schedules` seeded random core schedules (the seed family the
+/// pipeline litmus integration test uses).
+///
+/// # Errors
+///
+/// Returns the failing schedule and the simulation error.
+pub fn litmus_outcomes(
+    test: &LitmusTest,
+    cfg: &SimConfig,
+    schedules: u64,
+) -> Result<BTreeSet<Vec<u64>>, String> {
+    let random = (0..schedules).map(|i| CoreSchedule::Random {
+        seed: 0xC0FE + 2 * i + 1,
+    });
+    std::iter::once(CoreSchedule::RoundRobin)
+        .chain(random)
+        .map(|schedule| run_litmus(test, cfg, schedule).map_err(|e| format!("{schedule:?}: {e}")))
+        .collect()
+}
 
 /// One (litmus test, backend) cell of the report.
 #[derive(Debug, Clone)]
@@ -88,20 +110,9 @@ impl LitmusReport {
                 let cfg = SimConfig::machine(MachineClass::Baseline)
                     .backend(backend)
                     .build();
-                let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
-                let mut contained = true;
-                let mut all: Vec<CoreSchedule> = vec![CoreSchedule::RoundRobin];
-                // Same seed family as the pipeline litmus integration test.
-                all.extend((0..schedules).map(|i| CoreSchedule::Random {
-                    seed: 0xC0FE + 2 * i + 1,
-                }));
-                for schedule in all {
-                    let outcome = run_litmus(&test, &cfg, schedule).unwrap_or_else(|e| {
-                        panic!("{} on {} under {schedule:?}: {e}", test.name, backend.token())
-                    });
-                    contained &= allowed.contains(&outcome);
-                    seen.insert(outcome);
-                }
+                let seen = litmus_outcomes(&test, &cfg, schedules)
+                    .unwrap_or_else(|e| panic!("{} on {backend}: {e}", test.name));
+                let contained = seen.is_subset(&allowed);
                 if test.name == "SB" && seen.contains(&vec![0, 0]) {
                     relaxed_reachable = true;
                 }
@@ -126,60 +137,31 @@ impl LitmusReport {
     pub fn all_contained(&self) -> bool {
         self.rows.iter().all(|r| r.contained)
     }
+}
 
-    /// Renders the report as `aim-litmus-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 140);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-litmus-report/v1\",\n");
-        out.push_str("  \"artifact\": \"table_litmus\",\n");
-        out.push_str(&format!("  \"schedules\": {},\n", self.schedules));
-        out.push_str(&format!(
-            "  \"relaxed_reachable\": {},\n",
-            self.relaxed_reachable
-        ));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            json_number(self.wall_seconds)
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"test\": \"{}\", \"backend\": \"{}\", \"allowed_outcomes\": {}, \
-                 \"observed_outcomes\": {}, \"contained\": {}}}",
-                json_escape(&row.test),
-                json_escape(&row.backend),
-                row.allowed_outcomes,
-                row.observed_outcomes,
-                row.contained,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for LitmusReport {
+    type Row = LitmusRow;
+    const PATH_ENV: &'static str = "AIM_LITMUS_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_litmus.json";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-litmus-report/v1")
+            .put_str("artifact", "table_litmus")
+            .put_u64("schedules", self.schedules)
+            .put_bool("relaxed_reachable", self.relaxed_reachable)
+            .put_f64("wall_seconds", self.wall_seconds);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[LitmusRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_LITMUS_JSON` if
-    /// set, else `BENCH_litmus.json` in the working directory — and returns
-    /// the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_LITMUS_JSON").unwrap_or_else(|_| "BENCH_litmus.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(row: &LitmusRow, msg: &mut WireMsg) {
+        msg.put_str("test", &row.test)
+            .put_str("backend", &row.backend)
+            .put_u64("allowed_outcomes", row.allowed_outcomes as u64)
+            .put_u64("observed_outcomes", row.observed_outcomes as u64)
+            .put_bool("contained", row.contained);
     }
 }
 

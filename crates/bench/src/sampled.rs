@@ -34,8 +34,8 @@
 //! }
 //! ```
 
-use crate::hostperf::scale_token;
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One kernel of the sampled-convergence sweep: the full-detail truth,
@@ -106,127 +106,44 @@ pub struct SampledReport {
     pub rows: Vec<SampledRow>,
 }
 
-impl SampledReport {
-    /// Renders the report as `aim-sampled-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.rows.len() * 360);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-sampled-report/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"cold_sims\": {},\n", self.cold_sims));
-        out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits));
-        out.push_str(&format!("  \"warm_sims\": {},\n", self.warm_sims));
-        out.push_str(&format!(
-            "  \"machine\": \"{}\",\n",
-            json_escape(&self.machine)
-        ));
-        out.push_str(&format!("  \"window\": {},\n", self.window));
-        out.push_str(&format!("  \"far_latency\": {},\n", self.far_latency));
-        out.push_str(&format!(
-            "  \"worst_err_pct\": {},\n",
-            json_number(self.worst_err_pct)
-        ));
-        out.push_str(&format!("  \"speedup\": {},\n", json_number(self.speedup)));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"suite\": \"{}\", \"trace_len\": {}, \
-                 \"warm_insts\": {}, \"detail_insts\": {}, \"periods\": {}, \
-                 \"full_ipc\": {}, \"sampled_ipc\": {}, \"err_pct\": {}, \
-                 \"periods_run\": {}, \"detail_pct\": {}, \"full_wall_ns\": {}, \
-                 \"sampled_wall_ns\": {}, \"speedup\": {}}}",
-                json_escape(&r.workload),
-                json_escape(&r.suite),
-                r.trace_len,
-                r.warm_insts,
-                r.detail_insts,
-                r.periods,
-                json_number(r.full_ipc),
-                json_number(r.sampled_ipc),
-                json_number(r.err_pct),
-                r.periods_run,
-                json_number(r.detail_pct),
-                r.full_wall_ns,
-                r.sampled_wall_ns,
-                json_number(r.speedup),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for SampledReport {
+    type Row = SampledRow;
+    const PATH_ENV: &'static str = "AIM_SAMPLED_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_sampled.json";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-sampled-report/v1")
+            .put_str("artifact", &self.artifact)
+            .put_str("scale", &self.scale.to_string())
+            .put_u64("workers", self.workers as u64)
+            .put_u64("cold_sims", self.cold_sims)
+            .put_u64("warm_hits", self.warm_hits)
+            .put_u64("warm_sims", self.warm_sims)
+            .put_str("machine", &self.machine)
+            .put_u64("window", self.window)
+            .put_u64("far_latency", self.far_latency)
+            .put_f64("worst_err_pct", self.worst_err_pct)
+            .put_f64("speedup", self.speedup);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[SampledRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_SAMPLED_JSON` if
-    /// set, else `BENCH_sampled.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_SAMPLED_JSON").unwrap_or_else(|_| "BENCH_sampled.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &SampledRow, msg: &mut WireMsg) {
+        msg.put_str("workload", &r.workload)
+            .put_str("suite", &r.suite)
+            .put_u64("trace_len", r.trace_len)
+            .put_u64("warm_insts", r.warm_insts)
+            .put_u64("detail_insts", r.detail_insts)
+            .put_u64("periods", r.periods as u64)
+            .put_f64("full_ipc", r.full_ipc)
+            .put_f64("sampled_ipc", r.sampled_ipc)
+            .put_f64("err_pct", r.err_pct)
+            .put_u64("periods_run", r.periods_run as u64)
+            .put_f64("detail_pct", r.detail_pct)
+            .put_u64("full_wall_ns", r.full_wall_ns)
+            .put_u64("sampled_wall_ns", r.sampled_wall_ns)
+            .put_f64("speedup", r.speedup);
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sampled_json_renders_schema_and_balances() {
-        let report = SampledReport {
-            artifact: "table_sampled".to_string(),
-            scale: Scale::Huge,
-            workers: 8,
-            cold_sims: 40,
-            warm_hits: 40,
-            warm_sims: 0,
-            machine: "huge".to_string(),
-            window: 4096,
-            far_latency: 800,
-            worst_err_pct: -6.57,
-            speedup: 11.2,
-            rows: vec![SampledRow {
-                workload: "gzip".to_string(),
-                suite: "int".to_string(),
-                trace_len: 2_363_615,
-                warm_insts: 208_112,
-                detail_insts: 6_714,
-                periods: 11,
-                full_ipc: 7.0583,
-                sampled_ipc: 7.1134,
-                err_pct: 0.78,
-                periods_run: 11,
-                detail_pct: 3.1,
-                full_wall_ns: 2_400_000_000,
-                sampled_wall_ns: 210_000_000,
-                speedup: 11.4,
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aim-sampled-report/v1\""));
-        assert!(json.contains("\"window\": 4096"));
-        assert!(json.contains("\"warm_sims\": 0"));
-        assert!(json.contains("\"periods_run\": 11"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-}
-

@@ -8,7 +8,7 @@
 //! entries evicted, verify-mode recomputations, worker-pool utilization,
 //! and the warm/cold wall-time ratio the cache exists to deliver.
 //!
-//! Emitted JSON (hand-written — no serde in the offline build):
+//! Emitted JSON (through the shared [`Report`] writer):
 //!
 //! ```json
 //! {
@@ -34,8 +34,8 @@
 //! }
 //! ```
 
-use crate::hostperf::scale_token;
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One replay round's aggregate outcome.
@@ -87,105 +87,39 @@ pub struct ServeReport {
     pub rounds: Vec<ServeRound>,
 }
 
-impl ServeReport {
-    /// Renders the report as `aim-serve-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.rounds.len() * 120);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-serve-report/v1\",\n");
-        out.push_str("  \"artifact\": \"aim_serve\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!("  \"requests\": {},\n", self.requests));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses));
-        out.push_str(&format!("  \"dedup_waits\": {},\n", self.dedup_waits));
-        out.push_str(&format!("  \"sims_run\": {},\n", self.sims_run));
-        out.push_str(&format!("  \"corrupt_evictions\": {},\n", self.corrupt_evictions));
-        out.push_str(&format!("  \"verified\": {},\n", self.verified));
-        out.push_str(&format!("  \"verify_mismatches\": {},\n", self.verify_mismatches));
-        out.push_str(&format!(
-            "  \"worker_utilization\": {},\n",
-            json_number(self.worker_utilization)
-        ));
-        out.push_str(&format!("  \"warm_speedup\": {},\n", json_number(self.warm_speedup)));
-        out.push_str("  \"rounds\": [");
-        for (i, round) in self.rounds.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"cells\": {}, \"wall_seconds\": {}, \
-                 \"sims_run\": {}, \"cache_hits\": {}}}",
-                json_escape(&round.label),
-                round.cells,
-                json_number(round.wall_seconds),
-                round.sims_run,
-                round.cache_hits,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for ServeReport {
+    type Row = ServeRound;
+    const PATH_ENV: &'static str = "AIM_SERVE_JSON";
+    const DEFAULT_PATH: &'static str = "BENCH_serve.json";
+    const ROWS_KEY: &'static str = "rounds";
+
+    fn header(&self, msg: &mut WireMsg) {
+        msg.put_str("schema", "aim-serve-report/v1")
+            .put_str("artifact", "aim_serve")
+            .put_str("scale", &self.scale.to_string())
+            .put_u64("workers", self.workers as u64)
+            .put_u64("clients", self.clients as u64)
+            .put_u64("requests", self.requests)
+            .put_u64("cache_hits", self.cache_hits)
+            .put_u64("cache_misses", self.cache_misses)
+            .put_u64("dedup_waits", self.dedup_waits)
+            .put_u64("sims_run", self.sims_run)
+            .put_u64("corrupt_evictions", self.corrupt_evictions)
+            .put_u64("verified", self.verified)
+            .put_u64("verify_mismatches", self.verify_mismatches)
+            .put_f64("worker_utilization", self.worker_utilization)
+            .put_f64("warm_speedup", self.warm_speedup);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[ServeRound] {
+        &self.rounds
     }
 
-    /// Writes the report to the default location — `$AIM_SERVE_JSON` if
-    /// set, else `BENCH_serve.json` in the working directory — and returns
-    /// the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-        self.write(&path)?;
-        Ok(path)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_carries_schema_counters_and_rounds() {
-        let report = ServeReport {
-            scale: Scale::Tiny,
-            workers: 4,
-            clients: 2,
-            requests: 480,
-            cache_hits: 240,
-            cache_misses: 240,
-            dedup_waits: 3,
-            sims_run: 240,
-            corrupt_evictions: 1,
-            verified: 30,
-            verify_mismatches: 0,
-            worker_utilization: 0.75,
-            warm_speedup: 42.0,
-            rounds: vec![ServeRound {
-                label: "cold".to_string(),
-                cells: 240,
-                wall_seconds: 2.5,
-                sims_run: 240,
-                cache_hits: 0,
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aim-serve-report/v1\""));
-        assert!(json.contains("\"artifact\": \"aim_serve\""));
-        assert!(json.contains("\"dedup_waits\": 3"));
-        assert!(json.contains("\"warm_speedup\": 42.000000"));
-        assert!(json.contains("\"label\": \"cold\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+    fn row(round: &ServeRound, msg: &mut WireMsg) {
+        msg.put_str("label", &round.label)
+            .put_u64("cells", round.cells)
+            .put_f64("wall_seconds", round.wall_seconds)
+            .put_u64("sims_run", round.sims_run)
+            .put_u64("cache_hits", round.cache_hits);
     }
 }

@@ -414,7 +414,7 @@ pub fn table_pcax_sweep(grid: &GeometryGrid) -> ArtifactSpec {
             ..PcaxConfig::baseline()
         };
         configs.push((
-            format!("{}@t{threshold}", table.label()),
+            format!("{}@t{threshold}", table.shape()),
             SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Pcax).pcax(pcax).build(),
         ));
     }
@@ -465,7 +465,7 @@ pub fn table_filter_sweep(grid: &GeometryGrid) -> ArtifactSpec {
             max_count,
         };
         configs.push((
-            format!("{}@c{max_count}", table.label()),
+            format!("{}@c{max_count}", table.shape()),
             SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Filtered).filter(filter).build(),
         ));
     }

@@ -11,8 +11,10 @@
 use aim_bench::{
     FarMemReport, FarMemRow, FilterSweepReport, FilterSweepRow, HostperfReport, HostperfRow,
     HybridReport, HybridRow, LitmusReport, LitmusRow, PcaxReport, PcaxRow, PcaxSweepReport,
-    PcaxSweepRow, SampledReport, SampledRow, ServeReport, ServeRound, SweepReport, SweepRow,
+    PcaxSweepRow, Report, SampledReport, SampledRow, ServeReport, ServeRound, SweepReport,
+    SweepRow,
 };
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// A fixed, fully populated sweep report.
@@ -395,391 +397,148 @@ fn golden_serve() -> ServeReport {
     }
 }
 
+/// Asserts `report` renders byte-for-byte as the committed golden file.
+fn assert_golden(report: &impl Report, golden: &str, file: &str) {
+    assert_eq!(
+        report.to_json(),
+        golden,
+        "serialization drifted; if intentional, update tests/golden/{file} and bump the \
+         schema version"
+    );
+}
+
 #[test]
 fn sweep_report_serialization_is_golden() {
-    let got = golden_sweep().to_json();
-    let want = include_str!("golden/sweep.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-bench-sweep/v1 serialization drifted; if intentional, update \
-         tests/golden/sweep.golden.json and bump the schema version"
-    );
+    assert_golden(&golden_sweep(), include_str!("golden/sweep.golden.json"), "sweep.golden.json");
 }
 
 #[test]
 fn hybrid_report_serialization_is_golden() {
-    let got = golden_hybrid().to_json();
-    let want = include_str!("golden/hybrid.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-hybrid-report/v1 serialization drifted; if intentional, update \
-         tests/golden/hybrid.golden.json and bump the schema version"
-    );
+    assert_golden(&golden_hybrid(), include_str!("golden/hybrid.golden.json"), "hybrid.golden.json");
 }
 
 #[test]
 fn pcax_report_serialization_is_golden() {
-    let got = golden_pcax().to_json();
-    let want = include_str!("golden/pcax.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-pcax-report/v1 serialization drifted; if intentional, update \
-         tests/golden/pcax.golden.json and bump the schema version"
-    );
+    assert_golden(&golden_pcax(), include_str!("golden/pcax.golden.json"), "pcax.golden.json");
 }
 
 #[test]
 fn pcax_sweep_report_serialization_is_golden() {
-    let got = golden_pcax_sweep().to_json();
-    let want = include_str!("golden/pcax_sweep.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-pcax-sweep/v1 serialization drifted; if intentional, update \
-         tests/golden/pcax_sweep.golden.json and bump the schema version"
-    );
+    let golden = include_str!("golden/pcax_sweep.golden.json");
+    assert_golden(&golden_pcax_sweep(), golden, "pcax_sweep.golden.json");
 }
 
 #[test]
 fn filter_sweep_report_serialization_is_golden() {
-    let got = golden_filter_sweep().to_json();
-    let want = include_str!("golden/filter_sweep.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-filter-sweep/v1 serialization drifted; if intentional, update \
-         tests/golden/filter_sweep.golden.json and bump the schema version"
-    );
+    let golden = include_str!("golden/filter_sweep.golden.json");
+    assert_golden(&golden_filter_sweep(), golden, "filter_sweep.golden.json");
 }
 
 #[test]
 fn hostperf_report_serialization_is_golden() {
-    let got = golden_hostperf().to_json();
-    let want = include_str!("golden/hostperf.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-hostperf-report/v1 serialization drifted; if intentional, update \
-         tests/golden/hostperf.golden.json and bump the schema version"
-    );
+    let golden = include_str!("golden/hostperf.golden.json");
+    assert_golden(&golden_hostperf(), golden, "hostperf.golden.json");
 }
 
 #[test]
 fn litmus_report_serialization_is_golden() {
-    let got = golden_litmus().to_json();
-    let want = include_str!("golden/litmus.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-litmus-report/v1 serialization drifted; if intentional, update \
-         tests/golden/litmus.golden.json and bump the schema version"
-    );
+    assert_golden(&golden_litmus(), include_str!("golden/litmus.golden.json"), "litmus.golden.json");
 }
 
 #[test]
 fn farmem_report_serialization_is_golden() {
-    let got = golden_farmem().to_json();
-    let want = include_str!("golden/farmem.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-farmem-report/v1 serialization drifted; if intentional, update \
-         tests/golden/farmem.golden.json and bump the schema version"
-    );
+    assert_golden(&golden_farmem(), include_str!("golden/farmem.golden.json"), "farmem.golden.json");
 }
 
 #[test]
 fn sampled_report_serialization_is_golden() {
-    let got = golden_sampled().to_json();
-    let want = include_str!("golden/sampled.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-sampled-report/v1 serialization drifted; if intentional, update \
-         tests/golden/sampled.golden.json and bump the schema version"
-    );
+    let golden = include_str!("golden/sampled.golden.json");
+    assert_golden(&golden_sampled(), golden, "sampled.golden.json");
 }
 
 #[test]
 fn serve_report_serialization_is_golden() {
-    let got = golden_serve().to_json();
-    let want = include_str!("golden/serve.golden.json");
-    assert_eq!(
-        got, want,
-        "aim-serve-report/v1 serialization drifted; if intentional, update \
-         tests/golden/serve.golden.json and bump the schema version"
-    );
+    assert_golden(&golden_serve(), include_str!("golden/serve.golden.json"), "serve.golden.json");
+}
+
+/// Asserts the report's header and every row carry exactly these field
+/// names, in this order (space-separated).
+fn assert_fields<R: Report>(report: &R, header: &str, row: &str) {
+    let names = |msg: WireMsg| msg.keys().collect::<Vec<_>>().join(" ");
+    let mut msg = WireMsg::new();
+    report.header(&mut msg);
+    assert_eq!(names(msg), header, "header fields");
+    assert!(!report.rows().is_empty(), "a golden report has rows");
+    for r in report.rows() {
+        let mut msg = WireMsg::new();
+        R::row(r, &mut msg);
+        assert_eq!(names(msg), row, "row fields");
+    }
 }
 
 #[test]
 fn reports_keep_their_stable_field_sets() {
-    // Belt-and-braces over the byte comparison: every schema field name is
-    // present exactly once per row, so a rename cannot hide behind a
-    // formatting-only golden refresh.
-    let sweep = golden_sweep().to_json();
-    for field in [
-        "\"schema\"",
-        "\"artifact\"",
-        "\"jobs\"",
-        "\"wall_seconds\"",
-        "\"rows\"",
-    ] {
-        assert_eq!(sweep.matches(field).count(), 1, "sweep field {field}");
-    }
-    for field in [
-        "\"workload\"",
-        "\"config\"",
-        "\"sim_cycles\"",
-        "\"retired\"",
-        "\"host_seconds\"",
-        "\"kcycles_per_sec\"",
-        "\"retired_mips\"",
-    ] {
-        assert_eq!(sweep.matches(field).count(), 2, "sweep row field {field}");
-    }
-
-    let hybrid = golden_hybrid().to_json();
-    for field in ["\"schema\"", "\"artifact\"", "\"rows\""] {
-        assert_eq!(hybrid.matches(field).count(), 1, "hybrid field {field}");
-    }
-    for field in [
-        "\"workload\"",
-        "\"suite\"",
-        "\"lsq_ipc\"",
-        "\"nospec_norm\"",
-        "\"filtered_norm\"",
-        "\"sfc_mdt_norm\"",
-        "\"oracle_norm\"",
-        "\"gap_closed\"",
-        "\"filtered_loads\"",
-        "\"searched_loads\"",
-        "\"filter_rate\"",
-        "\"false_positive_hits\"",
-        "\"saturation_fallbacks\"",
-        "\"mdt_filter_rate\"",
-    ] {
-        assert_eq!(hybrid.matches(field).count(), 2, "hybrid row field {field}");
-    }
-
-    let pcax = golden_pcax().to_json();
-    for field in ["\"schema\"", "\"artifact\"", "\"rows\""] {
-        assert_eq!(pcax.matches(field).count(), 1, "pcax field {field}");
-    }
-    for field in [
-        "\"workload\"",
-        "\"suite\"",
-        "\"lsq_ipc\"",
-        "\"nospec_norm\"",
-        "\"pcax_norm\"",
-        "\"sfc_mdt_norm\"",
-        "\"oracle_norm\"",
-        "\"gap_closed\"",
-        "\"loads_no_alias\"",
-        "\"loads_forward\"",
-        "\"loads_unknown\"",
-        "\"coverage\"",
-        "\"accuracy\"",
-        "\"sfc_probes_skipped\"",
-        "\"forward_wait_replays\"",
-    ] {
-        assert_eq!(pcax.matches(field).count(), 2, "pcax row field {field}");
-    }
-
-    let pcax_sweep = golden_pcax_sweep().to_json();
-    for field in ["\"schema\"", "\"artifact\"", "\"baseline\"", "\"knee\"", "\"rows\""] {
-        assert_eq!(
-            pcax_sweep.matches(field).count(),
-            1,
-            "pcax sweep field {field}"
-        );
-    }
-    for field in [
-        "\"point\"",
-        "\"sets\"",
-        "\"ways\"",
-        "\"threshold\"",
-        "\"entries\"",
-        "\"ipc_norm\"",
-        "\"gap_closed\"",
-        "\"coverage\"",
-        "\"accuracy\"",
-        "\"sfc_probes_skipped\"",
-    ] {
-        assert_eq!(
-            pcax_sweep.matches(field).count(),
-            2,
-            "pcax sweep row field {field}"
-        );
-    }
-
-    let filter_sweep = golden_filter_sweep().to_json();
-    for field in ["\"schema\"", "\"artifact\"", "\"baseline\"", "\"knee\"", "\"rows\""] {
-        assert_eq!(
-            filter_sweep.matches(field).count(),
-            1,
-            "filter sweep field {field}"
-        );
-    }
-    for field in [
-        "\"point\"",
-        "\"sets\"",
-        "\"ways\"",
-        "\"max_count\"",
-        "\"entries\"",
-        "\"ipc_norm\"",
-        "\"gap_closed\"",
-        "\"filter_rate\"",
-        "\"false_positive_hits\"",
-        "\"saturation_fallbacks\"",
-    ] {
-        assert_eq!(
-            filter_sweep.matches(field).count(),
-            2,
-            "filter sweep row field {field}"
-        );
-    }
-
-    let hostperf = golden_hostperf().to_json();
-    for field in [
-        "\"schema\"",
-        "\"artifact\"",
-        "\"scale\"",
-        "\"jobs\"",
-        "\"wall_seconds\"",
-        "\"stats_fingerprint\"",
-        "\"rows\"",
-    ] {
-        assert_eq!(hostperf.matches(field).count(), 1, "hostperf field {field}");
-    }
-    for field in [
-        "\"config\"",
-        "\"machine\"",
-        "\"backend\"",
-        "\"sim_cycles\"",
-        "\"retired\"",
-        "\"host_seconds\"",
-        "\"kcycles_per_sec\"",
-        "\"retired_mips\"",
-    ] {
-        assert_eq!(
-            hostperf.matches(field).count(),
-            2,
-            "hostperf row field {field}"
-        );
-    }
-
-    let farmem = golden_farmem().to_json();
-    for field in [
-        "\"schema\"",
-        "\"artifact\"",
-        "\"scale\"",
-        "\"workers\"",
-        "\"cold_sims\"",
-        "\"warm_hits\"",
-        "\"warm_sims\"",
-        "\"rows\"",
-    ] {
-        assert_eq!(farmem.matches(field).count(), 1, "farmem field {field}");
-    }
-    for field in [
-        "\"workload\"",
-        "\"suite\"",
-        "\"machine\"",
-        "\"window\"",
-        "\"far_latency\"",
-        "\"lsq_ipc\"",
-        "\"nospec_norm\"",
-        "\"cam_norm\"",
-        "\"sfc_mdt_norm\"",
-        "\"pcax_norm\"",
-        "\"oracle_norm\"",
-        "\"cam_gap_closed\"",
-        "\"sfc_gap_closed\"",
-        "\"pcax_gap_closed\"",
-        "\"far_accesses\"",
-        "\"far_coalesced\"",
-        "\"far_overflow\"",
-        "\"far_peak_inflight\"",
-    ] {
-        assert_eq!(farmem.matches(field).count(), 2, "farmem row field {field}");
-    }
-
-    let sampled = golden_sampled().to_json();
-    for field in [
-        "\"schema\"",
-        "\"artifact\"",
-        "\"scale\"",
-        "\"workers\"",
-        "\"cold_sims\"",
-        "\"warm_hits\"",
-        "\"warm_sims\"",
-        "\"machine\"",
-        "\"window\"",
-        "\"far_latency\"",
-        "\"worst_err_pct\"",
-        "\"rows\"",
-    ] {
-        assert_eq!(sampled.matches(field).count(), 1, "sampled field {field}");
-    }
-    for field in [
-        "\"workload\"",
-        "\"suite\"",
-        "\"trace_len\"",
-        "\"warm_insts\"",
-        "\"detail_insts\"",
-        "\"periods\"",
-        "\"full_ipc\"",
-        "\"sampled_ipc\"",
-        "\"err_pct\"",
-        "\"periods_run\"",
-        "\"detail_pct\"",
-        "\"full_wall_ns\"",
-        "\"sampled_wall_ns\"",
-    ] {
-        assert_eq!(sampled.matches(field).count(), 2, "sampled row field {field}");
-    }
-    // One top-level aggregate plus one per row.
-    assert_eq!(sampled.matches("\"speedup\"").count(), 3, "sampled speedup field");
-
-    let serve = golden_serve().to_json();
-    for field in [
-        "\"schema\"",
-        "\"artifact\"",
-        "\"scale\"",
-        "\"workers\"",
-        "\"clients\"",
-        "\"requests\"",
-        "\"cache_misses\"",
-        "\"dedup_waits\"",
-        "\"corrupt_evictions\"",
-        "\"verified\"",
-        "\"verify_mismatches\"",
-        "\"worker_utilization\"",
-        "\"warm_speedup\"",
-        "\"rounds\"",
-    ] {
-        assert_eq!(serve.matches(field).count(), 1, "serve field {field}");
-    }
-    // One top-level occurrence plus one per round.
-    for field in ["\"cache_hits\"", "\"sims_run\""] {
-        assert_eq!(serve.matches(field).count(), 3, "serve field {field}");
-    }
-    for field in ["\"label\"", "\"cells\"", "\"wall_seconds\""] {
-        assert_eq!(serve.matches(field).count(), 2, "serve round field {field}");
-    }
-
-    let litmus = golden_litmus().to_json();
-    for field in [
-        "\"schema\"",
-        "\"artifact\"",
-        "\"schedules\"",
-        "\"relaxed_reachable\"",
-        "\"wall_seconds\"",
-        "\"rows\"",
-    ] {
-        assert_eq!(litmus.matches(field).count(), 1, "litmus field {field}");
-    }
-    for field in [
-        "\"test\"",
-        "\"backend\"",
-        "\"allowed_outcomes\"",
-        "\"observed_outcomes\"",
-        "\"contained\"",
-    ] {
-        assert_eq!(litmus.matches(field).count(), 2, "litmus row field {field}");
-    }
+    // Belt-and-braces over the byte comparison: the field names are spelled
+    // out here, so a rename cannot hide behind a golden refresh.
+    assert_fields(
+        &golden_sweep(),
+        "schema artifact jobs wall_seconds",
+        "workload config sim_cycles retired host_seconds kcycles_per_sec retired_mips",
+    );
+    assert_fields(
+        &golden_hybrid(),
+        "schema artifact",
+        "workload suite lsq_ipc nospec_norm filtered_norm sfc_mdt_norm oracle_norm gap_closed \
+         filtered_loads searched_loads filter_rate false_positive_hits saturation_fallbacks \
+         mdt_filter_rate",
+    );
+    assert_fields(
+        &golden_pcax(),
+        "schema artifact",
+        "workload suite lsq_ipc nospec_norm pcax_norm sfc_mdt_norm oracle_norm gap_closed \
+         loads_no_alias loads_forward loads_unknown coverage accuracy sfc_probes_skipped \
+         forward_wait_replays",
+    );
+    assert_fields(
+        &golden_pcax_sweep(),
+        "schema artifact baseline knee",
+        "point sets ways threshold entries ipc_norm gap_closed coverage accuracy \
+         sfc_probes_skipped",
+    );
+    assert_fields(
+        &golden_filter_sweep(),
+        "schema artifact baseline knee",
+        "point sets ways max_count entries ipc_norm gap_closed filter_rate false_positive_hits \
+         saturation_fallbacks",
+    );
+    assert_fields(
+        &golden_hostperf(),
+        "schema artifact scale jobs wall_seconds stats_fingerprint",
+        "config machine backend sim_cycles retired host_seconds kcycles_per_sec retired_mips",
+    );
+    assert_fields(
+        &golden_farmem(),
+        "schema artifact scale workers cold_sims warm_hits warm_sims",
+        "workload suite machine window far_latency lsq_ipc nospec_norm cam_norm sfc_mdt_norm \
+         pcax_norm oracle_norm cam_gap_closed sfc_gap_closed pcax_gap_closed far_accesses \
+         far_coalesced far_overflow far_peak_inflight",
+    );
+    assert_fields(
+        &golden_sampled(),
+        "schema artifact scale workers cold_sims warm_hits warm_sims machine window far_latency \
+         worst_err_pct speedup",
+        "workload suite trace_len warm_insts detail_insts periods full_ipc sampled_ipc err_pct \
+         periods_run detail_pct full_wall_ns sampled_wall_ns speedup",
+    );
+    assert_fields(
+        &golden_serve(),
+        "schema artifact scale workers clients requests cache_hits cache_misses dedup_waits \
+         sims_run corrupt_evictions verified verify_mismatches worker_utilization warm_speedup",
+        "label cells wall_seconds sims_run cache_hits",
+    );
+    assert_fields(
+        &golden_litmus(),
+        "schema artifact schedules relaxed_reachable wall_seconds",
+        "test backend allowed_outcomes observed_outcomes contained",
+    );
 }

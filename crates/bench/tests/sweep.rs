@@ -130,13 +130,13 @@ fn check_sweep_point(seed: u64) -> Result<(), TestCaseError> {
         let (table, threshold) = points[(seed / 2) as usize % points.len()];
         let cfg = pcax_config(table, u8::try_from(threshold).unwrap());
         let stats = run(p, &cfg);
-        check_bracket(&format!("pcax {}@t{threshold}", table.label()), w, &stats, true)
+        check_bracket(&format!("pcax {}@t{threshold}", table.shape()), w, &stats, true)
     } else {
         let points = specs::filter_sweep_grid(false).points();
         let (table, max_count) = points[(seed / 2) as usize % points.len()];
         let cfg = filter_config(table, max_count);
         let stats = run(p, &cfg);
-        check_bracket(&format!("filter {}@c{max_count}", table.label()), w, &stats, false)
+        check_bracket(&format!("filter {}@c{max_count}", table.shape()), w, &stats, false)
     }
 }
 

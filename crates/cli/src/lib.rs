@@ -10,20 +10,26 @@
 //! aim-sim compare mcf --scale small
 //! ```
 //!
+//! `run`, `compare`, `asm` and `submit` describe the machine with one
+//! [`ConfigSpec`], filled by one flag parser: each configuration flag is a
+//! [`ConfigSpec::FIELDS`] entry (`--pcax-act` sets `pcax_act`) and its
+//! value parses through [`ConfigSpec::set`], the same grammar the
+//! `aim-serve` wire protocol decodes with. So `run` and `submit` with the
+//! same flags simulate the same machine, and a value that would panic a
+//! constructor is a one-line parse error.
+//!
 //! This crate exposes the argument parsing and report formatting as a
 //! library so they can be unit-tested; `src/main.rs` is a thin wrapper.
 
 use std::fmt;
+use std::slice::Iter;
+use std::str::FromStr;
 
-use aim_core::{CorruptionPolicy, MdtTagging, SetHash, TableGeometry};
-use aim_lsq::LsqConfig;
-use aim_pipeline::{
-    FarSpec, FilterConfig, MachineClass, MemSpec, PcaxConfig, SampleSpec, SimConfig, SimStats,
-};
+use aim_core::{CorruptionPolicy, MdtTagging};
+use aim_pipeline::{SimConfig, SimStats};
 
 pub use aim_pipeline::{BackendChoice, BackendConfig};
-pub use aim_serve::LsqChoice;
-use aim_predictor::EnforceMode;
+pub use aim_serve::ConfigSpec;
 use aim_workloads::Scale;
 
 /// A parsed command line.
@@ -95,26 +101,8 @@ pub struct SubmitArgs {
     pub socket: String,
     /// Kernel name (empty when `shutdown` is set).
     pub kernel: String,
-    /// Machine class.
-    pub machine: MachineClass,
-    /// Memory-ordering backend.
-    pub backend: BackendChoice,
-    /// Enforcement-mode override (`None` keeps the builder default).
-    pub mode: Option<EnforceMode>,
-    /// LSQ capacity override (`None` keeps the builder default).
-    pub lsq: Option<LsqChoice>,
-    /// PCAX table-geometry override (`--pcax SxW`).
-    pub pcax_table: Option<(usize, usize)>,
-    /// PCAX no-alias acting-threshold override (`--pcax-act N`).
-    pub pcax_act: Option<u8>,
-    /// Filtered-LSQ filter-geometry override (`--filt SxW`).
-    pub filt_table: Option<(usize, usize)>,
-    /// Filtered-LSQ counter-saturation override (`--filt-count N`).
-    pub filt_count: Option<u32>,
-    /// Far-memory tier (`--far LATENCYxMSHRSxBATCH`).
-    pub far: Option<FarSpec>,
-    /// Sampled simulation (`--sample WARMxDETAILxPERIODS`).
-    pub sample: Option<SampleSpec>,
+    /// The machine configuration to request.
+    pub spec: ConfigSpec,
     /// Workload scale.
     pub scale: Scale,
     /// Ask the server to recompute and byte-compare the cached entry.
@@ -125,38 +113,12 @@ pub struct SubmitArgs {
     pub shutdown: bool,
 }
 
-impl SubmitArgs {
-    /// The wire-level machine configuration this submission names.
-    pub fn config_spec(&self) -> aim_serve::ConfigSpec {
-        aim_serve::ConfigSpec {
-            mode: self.mode,
-            lsq: self.lsq,
-            pcax: self.pcax_table,
-            pcax_act: self.pcax_act,
-            filt: self.filt_table,
-            filt_count: self.filt_count,
-            far: self.far,
-            sample: self.sample,
-            ..aim_serve::ConfigSpec::new(self.machine, self.backend)
-        }
-    }
-}
-
 impl Default for SubmitArgs {
     fn default() -> SubmitArgs {
         SubmitArgs {
             socket: String::new(),
             kernel: String::new(),
-            machine: MachineClass::Baseline,
-            backend: BackendChoice::SfcMdt,
-            mode: None,
-            lsq: None,
-            pcax_table: None,
-            pcax_act: None,
-            filt_table: None,
-            filt_count: None,
-            far: None,
-            sample: None,
+            spec: ConfigSpec::default(),
             scale: Scale::Tiny,
             verify: false,
             no_cache: false,
@@ -191,20 +153,13 @@ impl Default for LitmusArgs {
     }
 }
 
-/// Options shared by `run` and `compare`.
+/// Options shared by `run`, `compare` and `asm`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
     /// Kernel name (see `aim-sim list`).
     pub kernel: String,
-    /// `baseline` (4-wide, 128-entry window), `aggressive` (8-wide, 1024),
-    /// or `huge` (8-wide, 4096-entry kilo-window).
-    pub machine: MachineClass,
-    /// Memory-ordering backend.
-    pub backend: BackendChoice,
-    /// Predictor mode for the SFC/MDT backend.
-    pub mode: EnforceMode,
-    /// LSQ capacity, e.g. `48x32`.
-    pub lsq_size: (usize, usize),
+    /// The machine configuration (the flags `submit` shares).
+    pub spec: ConfigSpec,
     /// Dynamic instruction budget.
     pub scale: Scale,
     /// Use the untagged MDT variant.
@@ -213,18 +168,6 @@ pub struct RunArgs {
     pub endpoints: bool,
     /// Enable the §4 MDT search filter.
     pub filter: bool,
-    /// PCAX prediction-table geometry override, `sets x ways`.
-    pub pcax_table: Option<(usize, usize)>,
-    /// PCAX no-alias acting-threshold override (1..=3).
-    pub pcax_act: Option<u8>,
-    /// Filtered-LSQ filter geometry override, `sets x ways`.
-    pub filt_table: Option<(usize, usize)>,
-    /// Filtered-LSQ counter saturation override.
-    pub filt_count: Option<u32>,
-    /// Far-memory tier behind the L2 (`--far LATENCYxMSHRSxBATCH`).
-    pub far: Option<FarSpec>,
-    /// Sampled simulation policy (`--sample WARMxDETAILxPERIODS`).
-    pub sample: Option<SampleSpec>,
     /// Print the last N pipeline events after the run.
     pub trace: usize,
     /// Render the last N retired instructions as pipeline timelines.
@@ -241,20 +184,11 @@ impl Default for RunArgs {
     fn default() -> RunArgs {
         RunArgs {
             kernel: String::new(),
-            machine: MachineClass::Baseline,
-            backend: BackendChoice::SfcMdt,
-            mode: EnforceMode::All,
-            lsq_size: (48, 32),
+            spec: ConfigSpec::default(),
             scale: Scale::Small,
             untagged: false,
             endpoints: false,
             filter: false,
-            pcax_table: None,
-            pcax_act: None,
-            filt_table: None,
-            filt_count: None,
-            far: None,
-            sample: None,
             trace: 0,
             pipeview: 0,
             jobs: 0,
@@ -295,9 +229,11 @@ OPTIONS:
                                   pipeline configuration      [baseline]
   --backend sfc-mdt|lsq|filtered|pcax|oracle|nospec
                                   memory-ordering machinery   [sfc-mdt]
-  --mode enf|not-enf|total        predictor enforcement       [enf]
-  --lsq LxS                       LSQ capacity, e.g. 120x80   [48x32]
-  --scale tiny|small|full         instruction budget          [small]
+  --mode enf|not-enf|total        predictor enforcement
+                                  [sfc-mdt/pcax: enf baseline, total aggressive/huge;
+                                   other backends: not-enf]
+  --lsq LxS                       LSQ capacity, e.g. 120x80   [48x32; huge 256x256]
+  --scale tiny|small|full|huge    instruction budget          [small]
   --untagged                      untagged MDT variant (§2.2)
   --endpoints                     flush-endpoint SFC variant (§3.2)
   --filter                        MDT search filter (§4 future work)
@@ -322,18 +258,64 @@ LITMUS OPTIONS:
 SERVE OPTIONS:
   --cache DIR                     result-cache directory     [.aim-serve-cache]
   --workers N                     simulation worker threads  [AIM_JOBS/auto]
-  --scale tiny|small|full         replay workload scale      [tiny]
+  --scale tiny|small|full|huge    replay workload scale      [tiny]
   --rounds N                      replay rounds, cold + warm [2]
   --clients N                     replay client connections  [4]
   --verify                        append a replay verify round
 
 SUBMIT OPTIONS:
-  --machine, --backend, --mode, --scale   as for `run` (scale defaults to tiny)
+  --machine, --backend, --mode, --lsq, --scale   as for `run` (scale defaults to tiny)
   --pcax, --pcax-act, --filt, --filt-count, --far, --sample   as for `run`
-  --lsq 48x32|120x80|256x256      LSQ capacity override      [builder default]
   --verify                        recompute and byte-compare the cached entry
   --no-cache                      bypass the cache lookup (always simulate)
 ";
+
+/// Takes the value of `flag` from the argument stream.
+fn value(it: &mut Iter<'_, String>, flag: &str) -> Result<String, ParseError> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| ParseError(format!("{flag} needs a value")))
+}
+
+/// Takes and parses the value of `flag`, reporting `bad {what} `{v}``.
+fn number<T: FromStr>(it: &mut Iter<'_, String>, flag: &str, what: &str) -> Result<T, ParseError> {
+    let v = value(it, flag)?;
+    v.parse()
+        .map_err(|_| ParseError(format!("bad {what} `{v}`")))
+}
+
+/// Takes and parses the value of a token-valued `flag`.
+fn token<T: FromStr<Err = String>>(it: &mut Iter<'_, String>, flag: &str) -> Result<T, ParseError> {
+    value(it, flag)?
+        .parse()
+        .map_err(|e| ParseError(format!("{flag}: {e}")))
+}
+
+/// Applies `flag` if it names a [`ConfigSpec`] field (`--pcax-act` sets
+/// `pcax_act`) or the scale — the one flag parser `run`, `compare`, `asm`
+/// and `submit` share. Returns `Ok(false)` for any other flag.
+fn config_flag(
+    spec: &mut ConfigSpec,
+    scale: &mut Scale,
+    flag: &str,
+    it: &mut Iter<'_, String>,
+) -> Result<bool, ParseError> {
+    if flag == "--scale" {
+        *scale = token(it, flag)?;
+        return Ok(true);
+    }
+    let key = flag
+        .strip_prefix("--")
+        .unwrap_or_default()
+        .replace('-', "_");
+    if !ConfigSpec::FIELDS.contains(&key.as_str()) {
+        return Ok(false);
+    }
+    let v = value(it, flag)?;
+    spec.set(&key, &v)
+        .map_err(|e| ParseError(format!("{flag}: {e}")))?;
+    Ok(true)
+}
 
 /// Parses a command line (without the program name).
 ///
@@ -362,88 +344,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
     };
 
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
+        if config_flag(&mut run.spec, &mut run.scale, flag, &mut it)? {
+            continue;
+        }
         match flag.as_str() {
-            "--machine" => run.machine = parse_machine_class(&value("--machine")?)?,
-            "--backend" => {
-                // The shared BackendChoice FromStr is the single source of
-                // truth for the token vocabulary.
-                run.backend = value("--backend")?
-                    .parse()
-                    .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?;
-            }
-            "--mode" => {
-                run.mode = match value("--mode")?.as_str() {
-                    "enf" => EnforceMode::All,
-                    "not-enf" => EnforceMode::TrueOnly,
-                    "total" => EnforceMode::TotalOrder,
-                    other => return Err(ParseError(format!("unknown mode `{other}`"))),
-                }
-            }
-            "--lsq" => {
-                let v = value("--lsq")?;
-                let (l, s) = v
-                    .split_once('x')
-                    .ok_or_else(|| ParseError(format!("--lsq wants LxS, got `{v}`")))?;
-                run.lsq_size = (
-                    l.parse()
-                        .map_err(|_| ParseError(format!("bad load count `{l}`")))?,
-                    s.parse()
-                        .map_err(|_| ParseError(format!("bad store count `{s}`")))?,
-                );
-            }
-            "--scale" => {
-                run.scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    "huge" => Scale::Huge,
-                    other => return Err(ParseError(format!("unknown scale `{other}`"))),
-                }
-            }
             "--untagged" => run.untagged = true,
             "--endpoints" => run.endpoints = true,
             "--filter" => run.filter = true,
-            "--pcax" => run.pcax_table = Some(parse_geometry("--pcax", &value("--pcax")?)?),
-            "--pcax-act" => {
-                let v = value("--pcax-act")?;
-                run.pcax_act = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad pcax threshold `{v}`")))?,
-                );
-            }
-            "--filt" => run.filt_table = Some(parse_geometry("--filt", &value("--filt")?)?),
-            "--filt-count" => {
-                let v = value("--filt-count")?;
-                run.filt_count = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad filter count `{v}`")))?,
-                );
-            }
-            "--far" => run.far = Some(parse_far_spec(&value("--far")?)?),
-            "--sample" => run.sample = Some(parse_sample_spec(&value("--sample")?)?),
-            "--pipeview" => {
-                let v = value("--pipeview")?;
-                run.pipeview = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad pipeview length `{v}`")))?;
-            }
-            "--trace" => {
-                let v = value("--trace")?;
-                run.trace = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad trace length `{v}`")))?;
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                run.jobs = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad job count `{v}`")))?;
-            }
+            "--pipeview" => run.pipeview = number(&mut it, flag, "pipeview length")?,
+            "--trace" => run.trace = number(&mut it, flag, "trace length")?,
+            "--jobs" => run.jobs = number(&mut it, flag, "job count")?,
             "--paranoid" => run.paranoid = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
@@ -457,29 +367,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
 }
 
 /// Parses the options of the `litmus` command.
-fn parse_litmus(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
+fn parse_litmus(mut it: Iter<'_, String>) -> Result<Command, ParseError> {
     let mut args = LitmusArgs::default();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
         match flag.as_str() {
-            "--test" => args.test = Some(value("--test")?),
+            "--test" => args.test = Some(value(&mut it, flag)?),
             "--backend" => {
                 args.backend = Some(
-                    value("--backend")?
+                    value(&mut it, flag)?
                         .parse()
                         .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?,
                 );
             }
-            "--schedules" => {
-                let v = value("--schedules")?;
-                args.schedules = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad schedule count `{v}`")))?;
-            }
+            "--schedules" => args.schedules = number(&mut it, flag, "schedule count")?,
             "--paranoid" => args.paranoid = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
@@ -488,46 +388,18 @@ fn parse_litmus(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
 }
 
 /// Parses the options of the `serve` command.
-fn parse_serve(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
+fn parse_serve(mut it: Iter<'_, String>) -> Result<Command, ParseError> {
     let mut args = ServeArgs::default();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
         match flag.as_str() {
-            "--socket" => args.socket = Some(value("--socket")?),
+            "--socket" => args.socket = Some(value(&mut it, flag)?),
             "--stdio" => args.stdio = true,
             "--replay" => args.replay = true,
-            "--cache" => args.cache = value("--cache")?,
-            "--workers" => {
-                let v = value("--workers")?;
-                args.workers = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad worker count `{v}`")))?;
-            }
-            "--scale" => {
-                args.scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    "huge" => Scale::Huge,
-                    other => return Err(ParseError(format!("unknown scale `{other}`"))),
-                }
-            }
-            "--rounds" => {
-                let v = value("--rounds")?;
-                args.rounds = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad round count `{v}`")))?;
-            }
-            "--clients" => {
-                let v = value("--clients")?;
-                args.clients = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad client count `{v}`")))?;
-            }
+            "--cache" => args.cache = value(&mut it, flag)?,
+            "--workers" => args.workers = number(&mut it, flag, "worker count")?,
+            "--scale" => args.scale = token(&mut it, flag)?,
+            "--rounds" => args.rounds = number(&mut it, flag, "round count")?,
+            "--clients" => args.clients = number(&mut it, flag, "client count")?,
             "--verify" => args.verify = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
@@ -548,7 +420,7 @@ fn parse_serve(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseErr
 }
 
 /// Parses the options of the `submit` command.
-fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
+fn parse_submit(mut it: Iter<'_, String>) -> Result<Command, ParseError> {
     let mut args = SubmitArgs::default();
     // The kernel is the first word unless the request is a pure-flag form
     // (`submit --shutdown --socket …`).
@@ -559,57 +431,11 @@ fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
         }
     }
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
+        if config_flag(&mut args.spec, &mut args.scale, flag, &mut it)? {
+            continue;
+        }
         match flag.as_str() {
-            "--socket" => args.socket = value("--socket")?,
-            "--machine" => args.machine = parse_machine_class(&value("--machine")?)?,
-            "--backend" => {
-                args.backend = value("--backend")?
-                    .parse()
-                    .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?;
-            }
-            "--mode" => {
-                args.mode = Some(match value("--mode")?.as_str() {
-                    "enf" => EnforceMode::All,
-                    "not-enf" => EnforceMode::TrueOnly,
-                    "total" => EnforceMode::TotalOrder,
-                    other => return Err(ParseError(format!("unknown mode `{other}`"))),
-                })
-            }
-            "--lsq" => {
-                args.lsq = Some(LsqChoice::parse(&value("--lsq")?).map_err(ParseError)?);
-            }
-            "--pcax" => args.pcax_table = Some(parse_geometry("--pcax", &value("--pcax")?)?),
-            "--pcax-act" => {
-                let v = value("--pcax-act")?;
-                args.pcax_act = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad pcax threshold `{v}`")))?,
-                );
-            }
-            "--filt" => args.filt_table = Some(parse_geometry("--filt", &value("--filt")?)?),
-            "--filt-count" => {
-                let v = value("--filt-count")?;
-                args.filt_count = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad filter count `{v}`")))?,
-                );
-            }
-            "--far" => args.far = Some(parse_far_spec(&value("--far")?)?),
-            "--sample" => args.sample = Some(parse_sample_spec(&value("--sample")?)?),
-            "--scale" => {
-                args.scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    "huge" => Scale::Huge,
-                    other => return Err(ParseError(format!("unknown scale `{other}`"))),
-                }
-            }
+            "--socket" => args.socket = value(&mut it, flag)?,
             "--verify" => args.verify = true,
             "--no-cache" => args.no_cache = true,
             "--shutdown" => args.shutdown = true,
@@ -625,108 +451,11 @@ fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
     Ok(Command::Submit(args))
 }
 
-/// Parses a `--machine` token.
-fn parse_machine_class(v: &str) -> Result<MachineClass, ParseError> {
-    match v {
-        "baseline" => Ok(MachineClass::Baseline),
-        "aggressive" => Ok(MachineClass::Aggressive),
-        "huge" => Ok(MachineClass::Huge),
-        other => Err(ParseError(format!(
-            "unknown machine `{other}` (baseline|aggressive|huge)"
-        ))),
-    }
-}
-
-/// Parses a `--far LATENCYxMSHRSxBATCH` far-memory spec, e.g. `400x64x8`.
-fn parse_far_spec(v: &str) -> Result<FarSpec, ParseError> {
-    let bad = || ParseError(format!("--far wants LATENCYxMSHRSxBATCH, got `{v}`"));
-    let parts: Vec<&str> = v.split('x').collect();
-    let [lat, mshrs, batch] = parts.as_slice() else {
-        return Err(bad());
-    };
-    let latency: u64 = lat.parse().map_err(|_| bad())?;
-    let mshrs: usize = mshrs.parse().map_err(|_| bad())?;
-    let batch: u64 = batch.parse().map_err(|_| bad())?;
-    if latency == 0 || mshrs == 0 || batch == 0 {
-        return Err(ParseError(format!(
-            "--far parameters must be nonzero, got `{v}`"
-        )));
-    }
-    Ok(FarSpec::new(latency, mshrs, batch))
-}
-
-/// Parses a `--sample WARMxDETAILxPERIODS` sampling policy, e.g.
-/// `20000x2000x10`: warm up functionally for 20 000 instructions, then
-/// simulate 2 000 in full detail, ten times over.
-fn parse_sample_spec(v: &str) -> Result<SampleSpec, ParseError> {
-    let bad = || ParseError(format!("--sample wants WARMxDETAILxPERIODS, got `{v}`"));
-    let parts: Vec<&str> = v.split('x').collect();
-    let [warm, detail, periods] = parts.as_slice() else {
-        return Err(bad());
-    };
-    let warm: u64 = warm.parse().map_err(|_| bad())?;
-    let detail: u64 = detail.parse().map_err(|_| bad())?;
-    let periods: u32 = periods.parse().map_err(|_| bad())?;
-    SampleSpec::new(warm, detail, periods).ok_or_else(|| {
-        ParseError(format!("--sample parameters must be nonzero, got `{v}`"))
-    })
-}
-
-/// Parses a `SETSxWAYS` table geometry, e.g. `256x1`.
-fn parse_geometry(flag: &str, v: &str) -> Result<(usize, usize), ParseError> {
-    let (s, w) = v
-        .split_once('x')
-        .ok_or_else(|| ParseError(format!("{flag} wants SETSxWAYS, got `{v}`")))?;
-    Ok((
-        s.parse()
-            .map_err(|_| ParseError(format!("bad set count `{s}`")))?,
-        w.parse()
-            .map_err(|_| ParseError(format!("bad way count `{w}`")))?,
-    ))
-}
-
-/// Builds the [`SimConfig`] a [`RunArgs`] describes.
+/// Builds the [`SimConfig`] a [`RunArgs`] describes: the spec's config
+/// (exactly what `submit` would request) plus the run-only design
+/// variants and observability knobs.
 pub fn build_config(args: &RunArgs) -> SimConfig {
-    let mut builder = SimConfig::machine(args.machine)
-        .backend(args.backend)
-        .lsq(LsqConfig {
-            load_entries: args.lsq_size.0,
-            store_entries: args.lsq_size.1,
-        });
-    if let Some(far) = args.far {
-        builder = builder.mem(MemSpec::figure4().with_far(far));
-    }
-    if let Some(sample) = args.sample {
-        builder = builder.sample(sample);
-    }
-    if args.backend == BackendChoice::SfcMdt || args.backend == BackendChoice::Pcax {
-        // --mode only steers the SFC/MDT-family predictor (pcax wraps the
-        // SFC/MDT); every other backend keeps its TrueOnly default.
-        builder = builder.mode(args.mode);
-    }
-    if args.pcax_table.is_some() || args.pcax_act.is_some() {
-        let baseline = PcaxConfig::baseline();
-        let table = args.pcax_table.map_or(baseline.table, |(sets, ways)| TableGeometry {
-            sets,
-            ways,
-            hash: SetHash::LowBits,
-        });
-        builder = builder.pcax(PcaxConfig {
-            table,
-            no_alias_act: args.pcax_act.unwrap_or(baseline.no_alias_act),
-            ..baseline
-        });
-    }
-    if args.filt_table.is_some() || args.filt_count.is_some() {
-        let baseline = FilterConfig::baseline();
-        let (sets, ways) = args.filt_table.unwrap_or((baseline.sets, baseline.ways));
-        builder = builder.filter(FilterConfig {
-            sets,
-            ways,
-            max_count: args.filt_count.unwrap_or(baseline.max_count),
-        });
-    }
-    let mut cfg = builder.build();
+    let mut cfg = args.spec.to_config();
     if let BackendConfig::SfcMdt { sfc, mdt } = &mut cfg.backend {
         if args.untagged {
             mdt.tagging = MdtTagging::Untagged;
@@ -809,7 +538,11 @@ pub fn report(name: &str, backend: &str, stats: &SimStats) -> String {
             ));
         }
     }
-    if let Some(lsq) = stats.backend.lsq() {
+    if let Some(lsq) = stats
+        .backend
+        .lsq()
+        .or(stats.backend.filtered().map(|f| &f.lsq))
+    {
         line(format!(
             "  LSQ: SQ searches {:>7}  LQ searches {:>7}  peak {}x{}  dispatch stalls {}",
             lsq.sq_searches,
@@ -820,14 +553,6 @@ pub fn report(name: &str, backend: &str, stats: &SimStats) -> String {
         ));
     }
     if let Some(f) = stats.backend.filtered() {
-        line(format!(
-            "  LSQ: SQ searches {:>7}  LQ searches {:>7}  peak {}x{}  dispatch stalls {}",
-            f.lsq.sq_searches,
-            f.lsq.lq_searches,
-            f.lsq.peak_lq,
-            f.lsq.peak_sq,
-            stats.dispatch_stalls.lq_full + stats.dispatch_stalls.sq_full
-        ));
         line(format!(
             "  filter: {:>7} loads skipped the CAM ({:.2}%)  false hits {:>5}  saturations {:>4}",
             f.filter.filtered_loads,
@@ -879,10 +604,37 @@ pub fn report(name: &str, backend: &str, stats: &SimStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aim_core::SetsWays;
+    use aim_lsq::LsqConfig;
+    use aim_pipeline::{FarSpec, FilterConfig, MachineClass, PcaxConfig, SampleSpec};
+    use aim_predictor::EnforceMode;
 
     fn parse(words: &[&str]) -> Result<Command, ParseError> {
         let v: Vec<String> = words.iter().map(|s| s.to_string()).collect();
         parse_args(&v)
+    }
+
+    /// The options of the `run`, `compare` or `asm` command `words`.
+    fn run_args(words: &[&str]) -> RunArgs {
+        match (words[0], parse(words).unwrap()) {
+            ("run", Command::Run(args))
+            | ("compare", Command::Compare(args))
+            | ("asm", Command::Asm(args)) => args,
+            (cmd, other) => panic!("`{cmd}` parsed as {other:?}"),
+        }
+    }
+
+    /// The options of the `submit` command `words`.
+    fn submit_args(words: &[&str]) -> SubmitArgs {
+        match parse(words).unwrap() {
+            Command::Submit(args) => args,
+            other => panic!("expected submit, got {other:?}"),
+        }
+    }
+
+    /// The parse error `words` must produce.
+    fn err(words: &[&str]) -> String {
+        parse(words).unwrap_err().0
     }
 
     #[test]
@@ -894,173 +646,95 @@ mod tests {
 
     #[test]
     fn run_defaults() {
-        let Command::Run(args) = parse(&["run", "gzip"]).unwrap() else {
-            panic!("expected run");
-        };
+        let args = run_args(&["run", "gzip"]);
         assert_eq!(args.kernel, "gzip");
-        assert_eq!(args.machine, MachineClass::Baseline);
-        assert_eq!(args.backend, BackendChoice::SfcMdt);
-        assert_eq!(args.mode, EnforceMode::All);
+        assert_eq!(args.spec.machine, MachineClass::Baseline);
+        assert_eq!(args.spec.backend, BackendChoice::SfcMdt);
+        // No override: the builder's class default (enf on the baseline).
+        assert_eq!(args.spec.mode, None);
+        assert_eq!(build_config(&args).dep_predictor.mode, EnforceMode::All);
     }
 
     #[test]
     fn full_option_set() {
-        let Command::Compare(args) = parse(&[
-            "compare",
-            "swim",
-            "--machine",
-            "aggressive",
-            "--backend",
-            "lsq",
-            "--mode",
-            "total",
-            "--lsq",
-            "120x80",
-            "--scale",
-            "full",
-            "--untagged",
-            "--endpoints",
-        ])
-        .unwrap() else {
-            panic!("expected compare");
-        };
-        assert_eq!(args.machine, MachineClass::Aggressive);
-        assert_eq!(args.backend, BackendChoice::Lsq);
-        assert_eq!(args.mode, EnforceMode::TotalOrder);
-        assert_eq!(args.lsq_size, (120, 80));
+        let args = run_args(&[
+            "compare", "swim", "--machine", "aggressive", "--backend", "lsq", "--mode", "total",
+            "--lsq", "120x80", "--scale", "full", "--untagged", "--endpoints",
+        ]);
+        assert_eq!(args.spec.machine, MachineClass::Aggressive);
+        assert_eq!(args.spec.backend, BackendChoice::Lsq);
+        assert_eq!(args.spec.mode, Some(EnforceMode::TotalOrder));
+        assert_eq!(args.spec.lsq, Some(LsqConfig::aggressive_120x80()));
         assert_eq!(args.scale, Scale::Full);
         assert!(args.untagged && args.endpoints);
     }
 
     #[test]
     fn huge_machine_and_far_tier_parse() {
-        let Command::Run(args) =
-            parse(&["run", "swim", "--machine", "huge", "--far", "400x64x8"]).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(args.machine, MachineClass::Huge);
-        assert_eq!(args.far, Some(FarSpec::new(400, 64, 8)));
+        let args = run_args(&["run", "swim", "--machine", "huge", "--far", "400x64x8"]);
+        assert_eq!(args.spec.machine, MachineClass::Huge);
+        assert_eq!(args.spec.far, Some(FarSpec::new(400, 64, 8)));
         let cfg = build_config(&args);
         assert_eq!(cfg.rob_entries, 4096);
         assert_eq!(cfg.hierarchy.far, Some(FarSpec::new(400, 64, 8)));
-        assert!(parse(&["run", "x", "--machine", "colossal"])
-            .unwrap_err()
-            .0
-            .contains("baseline|aggressive|huge"));
-        assert!(parse(&["run", "x", "--far", "400x64"])
-            .unwrap_err()
-            .0
-            .contains("LATENCYxMSHRSxBATCH"));
-        assert!(parse(&["run", "x", "--far", "400x0x8"])
-            .unwrap_err()
-            .0
-            .contains("nonzero"));
+        assert!(err(&["run", "x", "--machine", "colossal"]).contains("baseline|aggressive|huge"));
+        assert!(err(&["run", "x", "--far", "400x64"]).contains("LATENCYxMSHRSxBATCH"));
+        assert!(err(&["run", "x", "--far", "400x0x8"]).contains("nonzero"));
     }
 
     #[test]
     fn sample_policy_parses_and_builds() {
-        let Command::Run(args) =
-            parse(&["run", "swim", "--scale", "huge", "--sample", "20000x2000x10"]).unwrap()
-        else {
-            panic!("expected run");
-        };
+        let args = run_args(&["run", "swim", "--scale", "huge", "--sample", "20000x2000x10"]);
         assert_eq!(args.scale, Scale::Huge);
-        assert_eq!(args.sample, SampleSpec::new(20_000, 2_000, 10));
+        assert_eq!(args.spec.sample, SampleSpec::new(20_000, 2_000, 10));
         let cfg = build_config(&args);
         assert_eq!(cfg.sample, SampleSpec::new(20_000, 2_000, 10));
         // Default stays off: byte-identical full-detail configuration.
         assert_eq!(build_config(&RunArgs::default()).sample, None);
-        assert!(parse(&["run", "x", "--sample", "20000x2000"])
-            .unwrap_err()
-            .0
-            .contains("WARMxDETAILxPERIODS"));
-        assert!(parse(&["run", "x", "--sample", "20000x0x10"])
-            .unwrap_err()
-            .0
-            .contains("nonzero"));
+        assert!(err(&["run", "x", "--sample", "20000x2000"]).contains("WARMxDETAILxPERIODS"));
+        assert!(err(&["run", "x", "--sample", "20000x0x10"]).contains("nonzero"));
 
-        let Command::Submit(args) = parse(&[
-            "submit", "swim", "--socket", "/tmp/s.sock", "--sample", "4000x1000x8",
-        ])
-        .unwrap() else {
-            panic!("expected submit");
-        };
-        assert_eq!(args.sample, SampleSpec::new(4_000, 1_000, 8));
-        assert_eq!(args.config_spec().sample, SampleSpec::new(4_000, 1_000, 8));
+        let args =
+            submit_args(&["submit", "swim", "--socket", "/tmp/s.sock", "--sample", "4000x1000x8"]);
+        assert_eq!(args.spec.sample, SampleSpec::new(4_000, 1_000, 8));
     }
 
     #[test]
     fn asm_command_parses() {
-        let Command::Asm(args) = parse(&["asm", "prog.s", "--trace", "16"]).unwrap() else {
-            panic!("expected asm");
-        };
+        let args = run_args(&["asm", "prog.s", "--trace", "16"]);
         assert_eq!(args.kernel, "prog.s");
         assert_eq!(args.trace, 16);
-        assert!(parse(&["asm"]).unwrap_err().0.contains("missing kernel"));
-        let Command::Run(args) = parse(&["run", "gzip", "--pipeview", "24"]).unwrap() else {
-            panic!("expected run");
-        };
+        assert!(err(&["asm"]).contains("missing kernel"));
+        let args = run_args(&["run", "gzip", "--pipeview", "24"]);
         assert_eq!(args.pipeview, 24);
         assert!(build_config(&args).pipeview);
-        assert!(parse(&["run", "x", "--pipeview", "many"])
-            .unwrap_err()
-            .0
-            .contains("bad pipeview length"));
-        assert!(parse(&["run", "x", "--trace", "lots"])
-            .unwrap_err()
-            .0
-            .contains("bad trace length"));
+        assert!(err(&["run", "x", "--pipeview", "many"]).contains("bad pipeview length"));
+        assert!(err(&["run", "x", "--trace", "lots"]).contains("bad trace length"));
     }
 
     #[test]
     fn jobs_flag_parses() {
-        let Command::Compare(args) = parse(&["compare", "mcf", "--jobs", "4"]).unwrap() else {
-            panic!("expected compare");
-        };
+        let args = run_args(&["compare", "mcf", "--jobs", "4"]);
         assert_eq!(args.jobs, 4);
         assert_eq!(RunArgs::default().jobs, 0);
-        assert!(parse(&["compare", "mcf", "--jobs", "many"])
-            .unwrap_err()
-            .0
-            .contains("bad job count"));
+        assert!(err(&["compare", "mcf", "--jobs", "many"]).contains("bad job count"));
     }
 
     #[test]
     fn litmus_command_parses() {
-        assert_eq!(
-            parse(&["litmus"]).unwrap(),
-            Command::Litmus(LitmusArgs::default())
-        );
-        let Command::Litmus(args) = parse(&[
-            "litmus",
-            "--test",
-            "SB+fwd",
-            "--backend",
-            "lsq",
-            "--schedules",
-            "32",
-            "--paranoid",
-        ])
-        .unwrap() else {
+        assert_eq!(parse(&["litmus"]), Ok(Command::Litmus(LitmusArgs::default())));
+        let words =
+            ["litmus", "--test", "SB+fwd", "--backend", "lsq", "--schedules", "32", "--paranoid"];
+        let Ok(Command::Litmus(args)) = parse(&words) else {
             panic!("expected litmus");
         };
         assert_eq!(args.test.as_deref(), Some("SB+fwd"));
         assert_eq!(args.backend, Some(BackendChoice::Lsq));
         assert_eq!(args.schedules, 32);
         assert!(args.paranoid);
-        assert!(parse(&["litmus", "--schedules", "lots"])
-            .unwrap_err()
-            .0
-            .contains("bad schedule count"));
-        assert!(parse(&["litmus", "--backend", "psychic"])
-            .unwrap_err()
-            .0
-            .contains("unknown backend"));
-        assert!(parse(&["litmus", "--bogus"])
-            .unwrap_err()
-            .0
-            .contains("unknown option"));
+        assert!(err(&["litmus", "--schedules", "lots"]).contains("bad schedule count"));
+        assert!(err(&["litmus", "--backend", "psychic"]).contains("unknown backend"));
+        assert!(err(&["litmus", "--bogus"]).contains("unknown option"));
     }
 
     #[test]
@@ -1078,84 +752,54 @@ mod tests {
         assert_eq!(args.scale, Scale::Tiny);
         assert!(args.verify);
 
-        let Command::Serve(args) = parse(&["serve", "--socket", "/tmp/s.sock"]).unwrap() else {
+        let Ok(Command::Serve(args)) = parse(&["serve", "--socket", "/tmp/s.sock"]) else {
             panic!("expected serve");
         };
         assert_eq!(args.socket.as_deref(), Some("/tmp/s.sock"));
 
         // Exactly one mode; replay needs a warm round.
-        assert!(parse(&["serve"]).unwrap_err().0.contains("exactly one"));
-        assert!(parse(&["serve", "--stdio", "--replay"])
-            .unwrap_err()
-            .0
-            .contains("exactly one"));
-        assert!(parse(&["serve", "--replay", "--rounds", "1"])
-            .unwrap_err()
-            .0
-            .contains("at least 2 rounds"));
-        assert!(parse(&["serve", "--replay", "--workers", "many"])
-            .unwrap_err()
-            .0
-            .contains("bad worker count"));
+        assert!(err(&["serve"]).contains("exactly one"));
+        assert!(err(&["serve", "--stdio", "--replay"]).contains("exactly one"));
+        assert!(err(&["serve", "--replay", "--rounds", "1"]).contains("at least 2 rounds"));
+        assert!(err(&["serve", "--replay", "--workers", "many"]).contains("bad worker count"));
     }
 
     #[test]
     fn submit_command_parses() {
-        let Command::Submit(args) = parse(&[
-            "submit", "gzip", "--socket", "/tmp/s.sock", "--machine", "aggressive",
-            "--backend", "lsq", "--lsq", "120x80", "--scale", "tiny", "--verify",
-        ])
-        .unwrap() else {
-            panic!("expected submit");
-        };
+        let args = submit_args(&[
+            "submit", "gzip", "--socket", "/tmp/s.sock", "--machine", "aggressive", "--backend",
+            "lsq", "--lsq", "120x80", "--scale", "tiny", "--verify",
+        ]);
         assert_eq!(args.kernel, "gzip");
-        assert_eq!(args.machine, MachineClass::Aggressive);
         assert!(args.verify && !args.no_cache);
-        assert_eq!(args.backend, BackendChoice::Lsq);
-        assert_eq!(args.lsq, Some(LsqChoice::Aggressive120x80));
-        let spec = args.config_spec();
-        assert_eq!(spec.machine, aim_pipeline::MachineClass::Aggressive);
-        assert_eq!(spec.lsq, Some(LsqChoice::Aggressive120x80));
+        assert_eq!(args.spec.machine, MachineClass::Aggressive);
+        assert_eq!(args.spec.backend, BackendChoice::Lsq);
+        assert_eq!(args.spec.lsq, Some(LsqConfig::aggressive_120x80()));
 
-        let Command::Submit(args) = parse(&[
-            "submit", "swim", "--socket", "/tmp/s.sock", "--machine", "huge",
-            "--backend", "pcax", "--pcax", "256x1", "--pcax-act", "3",
-            "--filt", "512x4", "--filt-count", "31", "--far", "400x64x8",
-        ])
-        .unwrap() else {
-            panic!("expected submit");
-        };
-        let spec = args.config_spec();
-        assert_eq!(spec.machine, aim_pipeline::MachineClass::Huge);
-        assert_eq!(spec.pcax, Some((256, 1)));
+        let args = submit_args(&[
+            "submit", "swim", "--socket", "/tmp/s.sock", "--machine", "huge", "--backend", "pcax",
+            "--pcax", "256x1", "--pcax-act", "3", "--filt", "512x4", "--filt-count", "31", "--far",
+            "400x64x8",
+        ]);
+        let spec = args.spec;
+        assert_eq!(spec.machine, MachineClass::Huge);
+        assert_eq!(spec.pcax, Some(SetsWays { sets: 256, ways: 1 }));
         assert_eq!(spec.pcax_act, Some(3));
-        assert_eq!(spec.filt, Some((512, 4)));
+        assert_eq!(spec.filt, Some(SetsWays { sets: 512, ways: 4 }));
         assert_eq!(spec.filt_count, Some(31));
         assert_eq!(spec.far, Some(FarSpec::new(400, 64, 8)));
 
-        let Command::Submit(args) =
-            parse(&["submit", "--shutdown", "--socket", "/tmp/s.sock"]).unwrap()
-        else {
-            panic!("expected submit");
-        };
+        let args = submit_args(&["submit", "--shutdown", "--socket", "/tmp/s.sock"]);
         assert!(args.shutdown && args.kernel.is_empty());
 
-        assert!(parse(&["submit", "gzip"]).unwrap_err().0.contains("--socket"));
-        assert!(parse(&["submit", "--socket", "/tmp/s.sock"])
-            .unwrap_err()
-            .0
-            .contains("kernel"));
-        assert!(parse(&["submit", "gzip", "--socket", "/tmp/s", "--lsq", "9x9"])
-            .unwrap_err()
-            .0
-            .contains("unknown lsq capacity"));
+        assert!(err(&["submit", "gzip"]).contains("--socket"));
+        assert!(err(&["submit", "--socket", "/tmp/s.sock"]).contains("kernel"));
+        assert!(err(&["submit", "gzip", "--socket", "/tmp/s", "--lsq", "9"]).contains("LxS"));
     }
 
     #[test]
     fn paranoid_flag_reaches_the_config() {
-        let Command::Run(args) = parse(&["run", "gzip", "--paranoid"]).unwrap() else {
-            panic!("expected run");
-        };
+        let args = run_args(&["run", "gzip", "--paranoid"]);
         assert!(args.paranoid);
         assert!(build_config(&args).paranoid);
         assert!(!build_config(&RunArgs::default()).paranoid);
@@ -1163,23 +807,61 @@ mod tests {
 
     #[test]
     fn errors_are_descriptive() {
-        assert!(parse(&["frobnicate"])
-            .unwrap_err()
-            .0
-            .contains("unknown command"));
-        assert!(parse(&["run"]).unwrap_err().0.contains("missing kernel"));
-        assert!(parse(&["run", "x", "--lsq", "banana"])
-            .unwrap_err()
-            .0
-            .contains("LxS"));
-        assert!(parse(&["run", "x", "--mode"])
-            .unwrap_err()
-            .0
-            .contains("needs a value"));
-        assert!(parse(&["run", "x", "--bogus"])
-            .unwrap_err()
-            .0
-            .contains("unknown option"));
+        assert!(err(&["frobnicate"]).contains("unknown command"));
+        assert!(err(&["run"]).contains("missing kernel"));
+        assert!(err(&["run", "x", "--lsq", "banana"]).contains("LxS"));
+        assert!(err(&["run", "x", "--mode"]).contains("needs a value"));
+        assert!(err(&["run", "x", "--bogus"]).contains("unknown option"));
+        // Values a constructor would panic on, or that deadlock the
+        // pipeline, fail at parse time with one line naming the flag.
+        for (flag, v, why) in [
+            ("--pcax-act", "0", "1..=3"),
+            ("--filt-count", "0", "at least 1"),
+            ("--pcax", "3x1", "power of two"),
+            ("--lsq", "0x0", "nonzero"),
+        ] {
+            let err = err(&["run", "x", flag, v]);
+            assert!(err.starts_with(flag) && err.contains(why), "{flag} {v}: {err}");
+            assert!(!err.contains('\n'), "error must be one line: {err:?}");
+        }
+    }
+
+    /// `run` and `submit` parse the same configuration flags into equal
+    /// specs, and `run` simulates exactly the config `submit` requests
+    /// (the run-only variant flags aside).
+    #[test]
+    fn run_and_submit_agree_on_every_config_flag() {
+        let cases: &[&[&str]] = &[
+            &[],
+            &["--machine", "aggressive"],
+            &["--machine", "huge", "--backend", "lsq"],
+            &["--machine", "huge", "--backend", "filtered", "--filt", "16x1"],
+            &["--machine", "aggressive", "--backend", "pcax", "--pcax-act", "1"],
+            &["--backend", "lsq", "--lsq", "120x80", "--mode", "total"],
+            &["--machine", "aggressive", "--mode", "not-enf", "--scale", "tiny"],
+            &["--backend", "pcax", "--pcax", "256x1", "--far", "400x64x8"],
+            &["--backend", "filtered", "--filt-count", "3", "--sample", "4000x1000x8"],
+            &["--backend", "oracle", "--machine", "huge", "--far", "800x64x8"],
+        ];
+        for flags in cases {
+            let words = |cmd: &[&str]| -> Vec<String> {
+                cmd.iter().chain(flags.iter()).map(|s| s.to_string()).collect()
+            };
+            let Ok(Command::Run(run)) = parse_args(&words(&["run", "gzip"])) else {
+                panic!("run rejected {flags:?}");
+            };
+            let Ok(Command::Submit(submit)) =
+                parse_args(&words(&["submit", "gzip", "--socket", "/tmp/s.sock"]))
+            else {
+                panic!("submit rejected {flags:?}");
+            };
+            assert_eq!(run.spec, submit.spec, "{flags:?}");
+            assert_eq!(
+                aim_bench::canonical_config_text(&build_config(&run)),
+                aim_bench::canonical_config_text(&submit.spec.to_config()),
+                "{flags:?}"
+            );
+        }
     }
 
     #[test]
@@ -1203,52 +885,40 @@ mod tests {
             }
             _ => panic!("expected SFC/MDT backend"),
         }
-        args.backend = BackendChoice::Lsq;
-        args.lsq_size = (7, 9);
-        match build_config(&args).backend {
-            BackendConfig::Lsq(l) => {
-                assert_eq!((l.load_entries, l.store_entries), (7, 9));
-            }
-            _ => panic!("expected LSQ backend"),
-        }
+        args.spec.backend = BackendChoice::Lsq;
+        let lsq = LsqConfig {
+            load_entries: 7,
+            store_entries: 9,
+        };
+        args.spec.lsq = Some(lsq);
+        assert_eq!(build_config(&args).backend, BackendConfig::Lsq(lsq));
     }
 
     #[test]
     fn filtered_backend_parses_and_builds() {
-        let Command::Run(args) =
-            parse(&["run", "gzip", "--backend", "filtered", "--lsq", "24x16"]).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(args.backend, BackendChoice::Filtered);
-        match build_config(&args).backend {
-            BackendConfig::FilteredLsq { lsq, .. } => {
-                assert_eq!((lsq.load_entries, lsq.store_entries), (24, 16));
-            }
-            other => panic!("expected filtered LSQ backend, got {other:?}"),
-        }
+        let args = run_args(&["run", "gzip", "--backend", "filtered", "--lsq", "24x16"]);
+        assert_eq!(args.spec.backend, BackendChoice::Filtered);
         let mut aggr = args.clone();
-        aggr.machine = MachineClass::Aggressive;
-        assert!(matches!(
-            build_config(&aggr).backend,
-            BackendConfig::FilteredLsq { lsq, .. }
-                if (lsq.load_entries, lsq.store_entries) == (24, 16)
-        ));
+        aggr.spec.machine = MachineClass::Aggressive;
+        for args in [args, aggr] {
+            assert!(matches!(
+                build_config(&args).backend,
+                BackendConfig::FilteredLsq { lsq, .. } if lsq.to_string() == "24x16"
+            ));
+        }
         assert_eq!(BackendChoice::ALL.len(), 6);
     }
 
     #[test]
     fn pcax_backend_parses_and_builds() {
-        let Command::Run(args) = parse(&["run", "gzip", "--backend", "pcax"]).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(args.backend, BackendChoice::Pcax);
-        match build_config(&args).backend {
-            BackendConfig::Pcax { pcax, .. } => assert_eq!(pcax.table.sets, 1024),
-            other => panic!("expected PCAX backend, got {other:?}"),
-        }
+        let args = run_args(&["run", "gzip", "--backend", "pcax"]);
+        assert_eq!(args.spec.backend, BackendChoice::Pcax);
+        assert!(matches!(
+            build_config(&args).backend,
+            BackendConfig::Pcax { pcax, .. } if pcax.table.sets == 1024
+        ));
         let mut aggr = args;
-        aggr.machine = MachineClass::Aggressive;
+        aggr.spec.machine = MachineClass::Aggressive;
         assert!(matches!(
             build_config(&aggr).backend,
             BackendConfig::Pcax { mdt, .. } if mdt.sets == 8192
@@ -1257,71 +927,46 @@ mod tests {
 
     #[test]
     fn pcax_geometry_knobs_parse_and_build() {
-        let Command::Run(args) = parse(&[
-            "run", "gzip", "--backend", "pcax", "--pcax", "64x1", "--pcax-act", "3",
-        ])
-        .unwrap() else {
-            panic!("expected run");
+        let args =
+            run_args(&["run", "gzip", "--backend", "pcax", "--pcax", "64x1", "--pcax-act", "3"]);
+        assert_eq!(args.spec.pcax, Some(SetsWays { sets: 64, ways: 1 }));
+        assert_eq!(args.spec.pcax_act, Some(3));
+        let BackendConfig::Pcax { pcax, .. } = build_config(&args).backend else {
+            panic!("expected PCAX backend");
         };
-        assert_eq!(args.pcax_table, Some((64, 1)));
-        assert_eq!(args.pcax_act, Some(3));
-        match build_config(&args).backend {
-            BackendConfig::Pcax { pcax, .. } => {
-                assert_eq!((pcax.table.sets, pcax.table.ways), (64, 1));
-                assert_eq!(pcax.no_alias_act, 3);
-                assert_eq!(pcax.forward_act, PcaxConfig::baseline().forward_act);
-            }
-            other => panic!("expected PCAX backend, got {other:?}"),
-        }
+        assert_eq!(pcax.table.shape(), SetsWays { sets: 64, ways: 1 });
+        assert_eq!(pcax.no_alias_act, 3);
+        assert_eq!(pcax.forward_act, PcaxConfig::baseline().forward_act);
         // One knob alone keeps the other at baseline.
-        let Command::Run(solo) = parse(&["run", "gzip", "--backend", "pcax", "--pcax-act", "1"])
-            .unwrap()
-        else {
-            panic!("expected run");
-        };
+        let solo = run_args(&["run", "gzip", "--backend", "pcax", "--pcax-act", "1"]);
         assert!(matches!(
             build_config(&solo).backend,
             BackendConfig::Pcax { pcax, .. }
                 if pcax.table == PcaxConfig::baseline().table && pcax.no_alias_act == 1
         ));
-        assert!(parse(&["run", "x", "--pcax", "64"])
-            .unwrap_err()
-            .0
-            .contains("SETSxWAYS"));
-        assert!(parse(&["run", "x", "--pcax-act", "often"])
-            .unwrap_err()
-            .0
-            .contains("bad pcax threshold"));
+        assert!(err(&["run", "x", "--pcax", "64"]).contains("SETSxWAYS"));
+        assert!(err(&["run", "x", "--pcax-act", "often"]).contains("bad pcax threshold"));
     }
 
     #[test]
     fn filter_geometry_knobs_parse_and_build() {
-        let Command::Run(args) = parse(&[
+        let args = run_args(&[
             "run", "gzip", "--backend", "filtered", "--filt", "16x1", "--filt-count", "3",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(args.filt_table, Some((16, 1)));
-        assert_eq!(args.filt_count, Some(3));
-        match build_config(&args).backend {
-            BackendConfig::FilteredLsq { filter, .. } => {
-                assert_eq!((filter.sets, filter.ways, filter.max_count), (16, 1, 3));
-            }
-            other => panic!("expected filtered LSQ backend, got {other:?}"),
-        }
+        ]);
+        assert_eq!(args.spec.filt, Some(SetsWays { sets: 16, ways: 1 }));
+        assert_eq!(args.spec.filt_count, Some(3));
+        assert!(matches!(
+            build_config(&args).backend,
+            BackendConfig::FilteredLsq { filter, .. }
+                if (filter.sets, filter.ways, filter.max_count) == (16, 1, 3)
+        ));
         // Without the knobs the builder default stays the baseline filter.
-        let Command::Run(plain) = parse(&["run", "gzip", "--backend", "filtered"]).unwrap() else {
-            panic!("expected run");
-        };
+        let plain = run_args(&["run", "gzip", "--backend", "filtered"]);
         assert!(matches!(
             build_config(&plain).backend,
             BackendConfig::FilteredLsq { filter, .. } if filter == FilterConfig::baseline()
         ));
-        assert!(parse(&["run", "x", "--filt-count", "lots"])
-            .unwrap_err()
-            .0
-            .contains("bad filter count"));
+        assert!(err(&["run", "x", "--filt-count", "lots"]).contains("bad filter count"));
     }
 
     #[test]
@@ -1330,19 +975,14 @@ mod tests {
             ("oracle", BackendChoice::Oracle, BackendConfig::Oracle),
             ("nospec", BackendChoice::NoSpec, BackendConfig::NoSpec),
         ] {
-            let Command::Run(args) = parse(&["run", "gzip", "--backend", word]).unwrap() else {
-                panic!("expected run");
-            };
-            assert_eq!(args.backend, choice);
+            let args = run_args(&["run", "gzip", "--backend", word]);
+            assert_eq!(args.spec.backend, choice);
             assert_eq!(build_config(&args).backend, expect);
             let mut aggr = args.clone();
-            aggr.machine = MachineClass::Aggressive;
+            aggr.spec.machine = MachineClass::Aggressive;
             assert_eq!(build_config(&aggr).backend, expect);
         }
-        assert!(parse(&["run", "x", "--backend", "psychic"])
-            .unwrap_err()
-            .0
-            .contains("unknown backend"));
+        assert!(err(&["run", "x", "--backend", "psychic"]).contains("unknown backend"));
     }
 
     #[test]

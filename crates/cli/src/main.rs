@@ -3,9 +3,10 @@
 use std::process::ExitCode;
 
 use aim_cli::{
-    build_config, parse_args, report, BackendChoice, Command, LitmusArgs, RunArgs, ServeArgs,
-    SubmitArgs, USAGE,
+    build_config, parse_args, report, BackendChoice, Command, ConfigSpec, LitmusArgs, RunArgs,
+    ServeArgs, SubmitArgs, USAGE,
 };
+use aim_bench::Report;
 use aim_pipeline::{pipeview, simulate_pipeview, simulate_traced};
 
 fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result<(), String> {
@@ -39,6 +40,14 @@ fn run_one(args: &RunArgs) -> Result<(), String> {
     run_program(&args.kernel, &workload.program, args)
 }
 
+/// `args` with its backend replaced.
+fn with_backend(args: &RunArgs, backend: BackendChoice) -> RunArgs {
+    RunArgs {
+        spec: ConfigSpec { backend, ..args.spec },
+        ..args.clone()
+    }
+}
+
 /// Runs the `compare` sweep as a 1×6 matrix on the shared sweep runner —
 /// one column per backend, bounds first and last — so all six simulate
 /// concurrently when `--jobs`/`AIM_JOBS` allow.
@@ -49,10 +58,7 @@ fn compare_parallel(args: &RunArgs) -> Result<(), String> {
     let configs: Vec<(String, aim_pipeline::SimConfig)> = BackendChoice::ALL
         .iter()
         .map(|&backend| {
-            let cfg = build_config(&RunArgs {
-                backend,
-                ..args.clone()
-            });
+            let cfg = build_config(&with_backend(args, backend));
             (cfg.backend.name(), cfg)
         })
         .collect();
@@ -99,18 +105,9 @@ fn run_litmus_suite(args: &LitmusArgs) -> Result<(), String> {
                 .backend(backend)
                 .build();
             cfg.paranoid = args.paranoid;
-            let mut seen = std::collections::BTreeSet::new();
-            let mut contained = true;
-            let mut schedules = vec![aim_pipeline::CoreSchedule::RoundRobin];
-            schedules.extend((0..args.schedules).map(|i| aim_pipeline::CoreSchedule::Random {
-                seed: 0xC0FE + 2 * i + 1,
-            }));
-            for schedule in schedules {
-                let outcome = aim_pipeline::run_litmus(test, &cfg, schedule)
-                    .map_err(|e| format!("{} on {}: {e}", test.name, backend.token()))?;
-                contained &= allowed.contains(&outcome);
-                seen.insert(outcome);
-            }
+            let seen = aim_bench::litmus_outcomes(test, &cfg, args.schedules)
+                .map_err(|e| format!("{} on {backend}: {e}", test.name))?;
+            let contained = seen.is_subset(&allowed);
             if !contained {
                 disallowed += 1;
             }
@@ -220,7 +217,7 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     let path = std::path::PathBuf::from(&args.socket);
     let mut msgs = Vec::new();
     if !args.kernel.is_empty() {
-        let spec = args.config_spec().job(&args.kernel, args.scale);
+        let spec = args.spec.job(&args.kernel, args.scale);
         msgs.push(spec.to_wire(args.verify, args.no_cache));
     }
     if args.shutdown {
@@ -241,8 +238,8 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
             resp.cycles,
             resp.retired,
             resp.fingerprint,
-            resp.source.token(),
-            resp.verify.map_or(String::new(), |v| format!(", verify: {}", v.token())),
+            resp.source,
+            resp.verify.map_or(String::new(), |v| format!(", verify: {v}")),
         );
     }
     if args.shutdown {
@@ -300,12 +297,9 @@ fn main() -> ExitCode {
             } else {
                 // Event traces and pipeview records only surface through the
                 // sequential single-run path.
-                BackendChoice::ALL.iter().try_for_each(|&backend| {
-                    run_one(&RunArgs {
-                        backend,
-                        ..args.clone()
-                    })
-                })
+                BackendChoice::ALL
+                    .iter()
+                    .try_for_each(|&backend| run_one(&with_backend(&args, backend)))
             }
         }
     };

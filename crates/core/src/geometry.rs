@@ -6,13 +6,99 @@
 //! set-index hash — into one reusable type so each new table does not grow
 //! its own private copy of the same three knobs.
 
+use std::fmt;
+use std::str::FromStr;
+
+use aim_types::token::split_x;
+
 use crate::hash::SetHash;
+
+/// A table shape as users name it: the `SETSxWAYS` token of the `--pcax`
+/// and `--filt` flags and wire fields, e.g. `256x1`. Parsing accepts
+/// exactly the shapes [`TableGeometry::validate`] accepts, so a parsed
+/// shape never panics a table constructor.
+///
+/// # Examples
+///
+/// ```
+/// use aim_core::SetsWays;
+///
+/// let shape: SetsWays = "256x1".parse().unwrap();
+/// assert_eq!((shape.sets, shape.ways), (256, 1));
+/// assert_eq!(shape.to_string(), "256x1");
+/// assert!("3x1".parse::<SetsWays>().is_err());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetsWays {
+    /// Number of sets (a non-zero power of two).
+    pub sets: usize,
+    /// Ways per set (1..=[`SetsWays::MAX_WAYS`]).
+    pub ways: usize,
+}
+
+impl SetsWays {
+    /// The most ways a set may hold: a [`SetTable`](crate::SetTable) keeps
+    /// one occupancy bit per way in a 64-bit word.
+    pub const MAX_WAYS: usize = 64;
+
+    /// Checks the shape without panicking: sets a non-zero power of two
+    /// (the hashes mask with `sets - 1`), ways in 1..=[`Self::MAX_WAYS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description of the first violated bound.
+    pub fn check(self) -> Result<(), String> {
+        if !self.sets.is_power_of_two() {
+            return Err(format!(
+                "sets must be a non-zero power of two, got {}",
+                self.sets
+            ));
+        }
+        if self.ways == 0 {
+            return Err("ways must be non-zero".to_string());
+        }
+        if self.ways > Self::MAX_WAYS {
+            return Err(format!(
+                "at most {} ways per set, got {}",
+                Self::MAX_WAYS,
+                self.ways
+            ));
+        }
+        Ok(())
+    }
+
+    /// This shape under the paper's low-bits set hash.
+    pub fn low_bits(self) -> TableGeometry {
+        TableGeometry {
+            sets: self.sets,
+            ways: self.ways,
+            hash: SetHash::LowBits,
+        }
+    }
+}
+
+impl fmt::Display for SetsWays {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}x{}", self.sets, self.ways)
+    }
+}
+
+impl FromStr for SetsWays {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<SetsWays, String> {
+        let [sets, ways] = split_x::<usize, 2>("table shape", "SETSxWAYS", s)?;
+        let shape = SetsWays { sets, ways };
+        shape.check()?;
+        Ok(shape)
+    }
+}
 
 /// The shape of a set-associative table: `sets × ways`, indexed by `hash`.
 ///
-/// `sets` must be a power of two (the hashes mask with `sets - 1`) and both
-/// dimensions must be non-zero; [`TableGeometry::validate`] checks this and
-/// the structures embedding a geometry call it at construction.
+/// The [`shape`](TableGeometry::shape) must pass [`SetsWays::check`];
+/// [`TableGeometry::validate`] enforces this and the structures embedding a
+/// geometry call it at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableGeometry {
     /// Number of sets (power of two).
@@ -39,10 +125,13 @@ impl TableGeometry {
         self.sets * self.ways
     }
 
-    /// The geometry's conventional short name, `setsxways` (e.g. `1024x2`),
-    /// as used in config names and sweep-report rows.
-    pub fn label(&self) -> String {
-        format!("{}x{}", self.sets, self.ways)
+    /// The `sets × ways` shape, without the hash; its `Display` (e.g.
+    /// `1024x2`) names the geometry in config names and sweep-report rows.
+    pub fn shape(&self) -> SetsWays {
+        SetsWays {
+            sets: self.sets,
+            ways: self.ways,
+        }
     }
 
     /// The cartesian sets × ways grid over `hash`, sets-major (every way
@@ -84,15 +173,11 @@ impl TableGeometry {
         key >> self.sets.trailing_zeros()
     }
 
-    /// Panics unless the geometry is well-formed (power-of-two sets,
-    /// non-zero dimensions).
+    /// Panics unless the shape passes [`SetsWays::check`].
     pub fn validate(&self, what: &str) {
-        assert!(
-            self.sets.is_power_of_two() && self.sets > 0,
-            "{what}: sets must be a non-zero power of two, got {}",
-            self.sets
-        );
-        assert!(self.ways > 0, "{what}: ways must be non-zero");
+        if let Err(e) = self.shape().check() {
+            panic!("{what}: {e}");
+        }
     }
 }
 
@@ -155,9 +240,34 @@ mod tests {
     }
 
     #[test]
+    fn shape_token_round_trips_and_accepts_what_validate_accepts() {
+        for shape in [
+            SetsWays { sets: 1, ways: 1 },
+            SetsWays {
+                sets: 4096,
+                ways: 64,
+            },
+        ] {
+            assert_eq!(shape.to_string().parse(), Ok(shape));
+            shape.low_bits().validate("t");
+        }
+        for (bad, why) in [
+            ("3x1", "power of two"),
+            ("0x1", "power of two"),
+            ("4x0", "non-zero"),
+            ("4x65", "at most 64 ways"),
+            ("256", "SETSxWAYS"),
+            ("6x1x1", "SETSxWAYS"),
+        ] {
+            let err = bad.parse::<SetsWays>().unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn grid_is_sets_major_and_labelled() {
         let grid = TableGeometry::grid(&[16, 64], &[1, 2], SetHash::LowBits);
-        let labels: Vec<String> = grid.iter().map(TableGeometry::label).collect();
+        let labels: Vec<String> = grid.iter().map(|g| g.shape().to_string()).collect();
         assert_eq!(labels, ["16x1", "16x2", "64x1", "64x2"]);
         assert_eq!(grid[1].entries(), 32);
         assert!(grid.iter().all(|g| g.hash == SetHash::LowBits));

@@ -50,7 +50,7 @@ mod mdt;
 mod set_table;
 mod sfc;
 
-pub use geometry::TableGeometry;
+pub use geometry::{SetsWays, TableGeometry};
 pub use hash::SetHash;
 pub use mdt::{Mdt, MdtConfig, MdtStats, MdtTagging, TrueDepRecovery, Violation};
 pub use set_table::SetTable;

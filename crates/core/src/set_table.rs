@@ -63,10 +63,9 @@ impl SetTable {
     /// # Panics
     ///
     /// Panics if the geometry is invalid (non-power-of-two or zero `sets`,
-    /// zero `ways`) or `ways > 64` (one occupancy bit per way).
+    /// zero `ways`, or more than 64 ways: one occupancy bit per way).
     pub fn new(geom: TableGeometry) -> SetTable {
         geom.validate("SetTable");
-        assert!(geom.ways <= 64, "SetTable: at most 64 ways per set");
         SetTable {
             geom,
             occ: vec![0; geom.sets].into_boxed_slice(),

@@ -44,8 +44,11 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::str::FromStr;
 
 use aim_mem::MainMemory;
+use aim_types::token::split_x;
 use aim_types::{Addr, MemAccess, SeqNum, ViolationKind};
 
 /// Queue capacities. The paper's figures use 48×32 (baseline), and 120×80 /
@@ -81,6 +84,30 @@ impl LsqConfig {
             load_entries: 256,
             store_entries: 256,
         }
+    }
+}
+
+/// The `LxS` token (load entries × store entries), e.g. `120x80`.
+impl fmt::Display for LsqConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}x{}", self.load_entries, self.store_entries)
+    }
+}
+
+impl FromStr for LsqConfig {
+    type Err = String;
+
+    /// Parses `LxS`, rejecting an empty queue (a machine without load or
+    /// store entries can never dispatch a memory operation).
+    fn from_str(s: &str) -> Result<LsqConfig, String> {
+        let [load_entries, store_entries] = split_x::<usize, 2>("lsq", "LxS", s)?;
+        if load_entries == 0 || store_entries == 0 {
+            return Err(format!("LSQ capacities must be nonzero, got `{s}`"));
+        }
+        Ok(LsqConfig {
+            load_entries,
+            store_entries,
+        })
     }
 }
 
@@ -460,6 +487,21 @@ impl Lsq {
 mod tests {
     use super::*;
     use aim_types::AccessSize;
+
+    #[test]
+    fn capacity_token_round_trips_and_rejects_empty_queues() {
+        let cfg = LsqConfig {
+            load_entries: 7,
+            store_entries: 9,
+        };
+        assert_eq!(cfg.to_string(), "7x9");
+        assert_eq!("7x9".parse(), Ok(cfg));
+        for bad in ["0x0", "48x0", "0x32"] {
+            let err = bad.parse::<LsqConfig>().unwrap_err();
+            assert!(err.contains("nonzero") && err.contains(bad), "{err}");
+        }
+        assert!("banana".parse::<LsqConfig>().unwrap_err().contains("LxS"));
+    }
 
     fn acc(addr: u64, size: AccessSize) -> MemAccess {
         MemAccess::new(Addr(addr), size).unwrap()

@@ -37,6 +37,11 @@
 //! assert_eq!(far.try_access(9, 400), Some(400)); // slots drained
 //! ```
 
+use std::fmt;
+use std::str::FromStr;
+
+use aim_types::token::split_x;
+
 /// Configuration of the far-memory tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FarSpec {
@@ -73,6 +78,29 @@ impl Default for FarSpec {
     /// sweep around.
     fn default() -> FarSpec {
         FarSpec::new(400, 64, 8)
+    }
+}
+
+/// The `LATENCYxMSHRSxBATCH` token, e.g. `400x64x8`.
+impl fmt::Display for FarSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}x{}x{}", self.latency, self.mshrs, self.batch)
+    }
+}
+
+impl FromStr for FarSpec {
+    type Err = String;
+
+    /// Parses `LATENCYxMSHRSxBATCH`, rejecting the zero values
+    /// [`FarSpec::new`] panics on.
+    fn from_str(s: &str) -> Result<FarSpec, String> {
+        let [latency, mshrs, batch] = split_x::<u64, 3>("far tier", "LATENCYxMSHRSxBATCH", s)?;
+        let mshrs = usize::try_from(mshrs)
+            .map_err(|_| format!("far-tier MSHR count out of range, got `{s}`"))?;
+        if latency == 0 || mshrs == 0 || batch == 0 {
+            return Err(format!("far-tier parameters must be nonzero, got `{s}`"));
+        }
+        Ok(FarSpec::new(latency, mshrs, batch))
     }
 }
 
@@ -223,6 +251,17 @@ impl FarMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn token_round_trips_and_rejects_zero_fields() {
+        let spec = FarSpec::new(800, 64, 8);
+        assert_eq!(spec.to_string(), "800x64x8");
+        assert_eq!(spec.to_string().parse(), Ok(spec));
+        let err = "400x0x8".parse::<FarSpec>().unwrap_err();
+        assert!(err.contains("nonzero"), "{err}");
+        let err = "400x64".parse::<FarSpec>().unwrap_err();
+        assert!(err.contains("LATENCYxMSHRSxBATCH"), "{err}");
+    }
 
     fn far(latency: u64, mshrs: usize, batch: u64) -> FarMemory {
         FarMemory::new(FarSpec::new(latency, mshrs, batch))

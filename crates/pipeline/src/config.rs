@@ -1,12 +1,14 @@
 //! Simulator configuration: the paper's Figure 4 in code.
 
 use std::fmt;
+use std::str::FromStr;
 
 use aim_backend::{
     BackendParams, FilterConfig, LsqConfig, MdtConfig, PartialMatchPolicy, PcaxConfig, SfcConfig,
 };
 use aim_mem::{HierarchyConfig, MemSpec};
 use aim_predictor::{EnforceMode, PredictorConfig};
+use aim_types::token::parse_choice;
 use aim_types::SampleSpec;
 
 pub use aim_backend::{BackendChoice, BackendConfig};
@@ -284,15 +286,44 @@ impl SimConfig {
 
 /// Which machine column a configuration starts from: the paper's two
 /// Figure 4 classes, plus the kilo-entry-window extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MachineClass {
     /// The 4-wide, 128-entry-ROB machine (Figure 4, left column).
+    #[default]
     Baseline,
     /// The 8-wide, 1024-entry-ROB machine (Figure 4, right column).
     Aggressive,
     /// The 8-wide, 4096-entry-ROB kilo-entry-window machine
     /// ([`SimConfig::huge`]), defaulting to the wide 256×256 LSQ.
     Huge,
+}
+
+impl MachineClass {
+    /// Every class, narrowest window first.
+    pub const ALL: [MachineClass; 3] = [
+        MachineClass::Baseline,
+        MachineClass::Aggressive,
+        MachineClass::Huge,
+    ];
+}
+
+/// The lowercase token: `baseline`, `aggressive`, `huge`.
+impl fmt::Display for MachineClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            MachineClass::Baseline => "baseline",
+            MachineClass::Aggressive => "aggressive",
+            MachineClass::Huge => "huge",
+        })
+    }
+}
+
+impl FromStr for MachineClass {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<MachineClass, String> {
+        parse_choice("machine", &MachineClass::ALL, s)
+    }
 }
 
 /// Builds a [`SimConfig`] from a machine class and a [`BackendChoice`],
@@ -427,6 +458,17 @@ impl MachineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn machine_tokens_round_trip() {
+        for class in MachineClass::ALL {
+            assert_eq!(class.to_string().parse(), Ok(class));
+        }
+        assert_eq!(
+            "colossal".parse::<MachineClass>().unwrap_err(),
+            "unknown machine `colossal` (baseline|aggressive|huge)"
+        );
+    }
 
     #[test]
     fn baseline_matches_figure4() {

@@ -1,5 +1,9 @@
 //! The producer-set memory dependence predictor (paper §2.1).
 
+use std::fmt;
+use std::str::FromStr;
+
+use aim_types::token::parse_choice;
 use aim_types::ViolationKind;
 
 use crate::pc_table::PcTable;
@@ -29,6 +33,34 @@ pub enum EnforceMode {
     All,
     /// ENF plus total ordering within each producer set (aggressive ENF).
     TotalOrder,
+}
+
+impl EnforceMode {
+    /// Every mode, in the order the usage text lists them.
+    pub const ALL: [EnforceMode; 3] = [
+        EnforceMode::All,
+        EnforceMode::TrueOnly,
+        EnforceMode::TotalOrder,
+    ];
+}
+
+/// The paper's names: `enf`, `not-enf`, `total`.
+impl fmt::Display for EnforceMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            EnforceMode::TrueOnly => "not-enf",
+            EnforceMode::All => "enf",
+            EnforceMode::TotalOrder => "total",
+        })
+    }
+}
+
+impl FromStr for EnforceMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<EnforceMode, String> {
+        parse_choice("mode", &EnforceMode::ALL, s)
+    }
 }
 
 /// Geometry of the predictor's tables (Figure 4: "16K-entry PT and CT,
@@ -255,6 +287,17 @@ impl ProducerSetPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mode_tokens_round_trip() {
+        for mode in EnforceMode::ALL {
+            assert_eq!(mode.to_string().parse(), Ok(mode));
+        }
+        assert_eq!(
+            "strict".parse::<EnforceMode>().unwrap_err(),
+            "unknown mode `strict` (enf|not-enf|total)"
+        );
+    }
 
     fn predictor(mode: EnforceMode) -> (ProducerSetPredictor, TagScoreboard) {
         (ProducerSetPredictor::new(mode), TagScoreboard::new())

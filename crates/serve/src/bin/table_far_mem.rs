@@ -29,7 +29,7 @@
 
 use aim_bench::{
     csv_path_from_args, jobs_from_args, rule, scale_from_args, specs, CsvTable, FarMemReport,
-    FarMemRow,
+    FarMemRow, Report,
 };
 use aim_serve::{farmem_configs, parse_far_stats, run_cells, JobResponse, JobSpec, Server};
 use aim_types::geomean;
@@ -167,10 +167,10 @@ fn main() {
             norm_rows[0].push(cam);
             norm_rows[1].push(sfc);
             norm_rows[2].push(pcax);
-            let suite_tok = if suite == Suite::Int { "int" } else { "fp" };
+            let suite_tok = suite.to_string();
             csv.row(&[
                 name.to_string(),
-                suite_tok.to_string(),
+                suite_tok.clone(),
                 tag.to_string(),
                 window.to_string(),
                 lat.to_string(),
@@ -186,7 +186,7 @@ fn main() {
             ]);
             rows.push(FarMemRow {
                 workload: name.to_string(),
-                suite: suite_tok.to_string(),
+                suite: suite_tok.clone(),
                 machine: tag.to_string(),
                 window,
                 far_latency: lat,
@@ -251,10 +251,7 @@ fn main() {
         warm_sims,
         rows,
     };
-    match report.write_default() {
-        Ok(path) => println!("farmem report — {path}"),
-        Err(e) => eprintln!("farmem report not written: {e}"),
-    }
+    report.publish("farmem");
     println!(
         "serve: matrix cached under {} — first round {} simulations, replay {}/{} cells warm \
          ({} simulations)",

@@ -32,14 +32,15 @@
 //! `aim-sampled-report/v1` JSON (`BENCH_sampled.json`).
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, scale_from_args, CsvTable, SampledReport, SampledRow,
+    csv_path_from_args, jobs_from_args, rule, scale_from_args, CsvTable, Report, SampledReport,
+    SampledRow,
 };
 use aim_pipeline::{BackendChoice, FarSpec, MachineClass};
 use aim_serve::{
     parse_sampled_stats, run_cells, sampled_policy, ConfigSpec, JobResponse, JobSpec, Server,
     SAMPLE_PERIODS,
 };
-use aim_workloads::{Scale, Suite};
+use aim_workloads::Scale;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -197,7 +198,7 @@ fn main() {
 
         let detail_pct = sampled.detail_fraction();
         let speedup = fw as f64 / sw as f64;
-        let suite_tok = if p.suite == Suite::Int { "int" } else { "fp" };
+        let suite_tok = p.suite.to_string();
         println!(
             "{:<11} {:>5} {:>9} | {:>8.4} {:>8.4} {:>+7.2} | {:>7} {:>7.2} | {:>9.1} {:>9.1} \
              {:>6.1}x",
@@ -215,7 +216,7 @@ fn main() {
         );
         csv.row(&[
             p.name.to_string(),
-            suite_tok.to_string(),
+            suite_tok.clone(),
             p.trace.len().to_string(),
             format!("{full_ipc:.4}"),
             format!("{samp_ipc:.4}"),
@@ -228,7 +229,7 @@ fn main() {
         ]);
         rows.push(SampledRow {
             workload: p.name.to_string(),
-            suite: suite_tok.to_string(),
+            suite: suite_tok.clone(),
             trace_len: p.trace.len() as u64,
             warm_insts: policy.warm_insts,
             detail_insts: policy.detail_insts,
@@ -270,10 +271,7 @@ fn main() {
         speedup,
         rows,
     };
-    match report.write_default() {
-        Ok(path) => println!("sampled report — {path}"),
-        Err(e) => eprintln!("sampled report not written: {e}"),
-    }
+    report.publish("sampled");
     println!(
         "serve: matrix cached under {} — first round {} simulations, replay {}/{} cells warm \
          ({} simulations)",

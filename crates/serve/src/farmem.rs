@@ -15,8 +15,7 @@
 //! fingerprints already pin.
 
 use crate::proto::ConfigSpec;
-use aim_pipeline::{BackendChoice, FarSpec, FarStats, MachineClass};
-use crate::proto::LsqChoice;
+use aim_pipeline::{BackendChoice, FarSpec, FarStats, LsqConfig, MachineClass};
 
 /// The 24 `table_far_mem` configurations as job specs, name for name
 /// (`tests::farmem_configs_mirror_the_bench_spec` pins the correspondence
@@ -38,11 +37,11 @@ pub fn farmem_configs() -> Vec<(String, ConfigSpec)> {
             configs.push((format!("{tag}-far{lat}-nospec"), cell(BackendChoice::NoSpec)));
             configs.push((
                 format!("{tag}-far{lat}-lsq-120x80"),
-                lsq_cell(LsqChoice::Aggressive120x80),
+                lsq_cell(LsqConfig::aggressive_120x80()),
             ));
             configs.push((
                 format!("{tag}-far{lat}-lsq-256x256"),
-                lsq_cell(LsqChoice::Aggressive256x256),
+                lsq_cell(LsqConfig::aggressive_256x256()),
             ));
             configs.push((format!("{tag}-far{lat}-sfc-mdt"), cell(BackendChoice::SfcMdt)));
             configs.push((format!("{tag}-far{lat}-pcax"), cell(BackendChoice::Pcax)));

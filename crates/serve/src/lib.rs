@@ -52,7 +52,7 @@ pub use farmem::{farmem_configs, parse_far_stats};
 pub use sampled::{
     parse_sampled_stats, sampled_policy, SAMPLE_DETAIL_DIVISOR, SAMPLE_PERIODS,
 };
-pub use proto::{ConfigSpec, JobResponse, JobSpec, LsqChoice, Source, VerifyOutcome};
+pub use proto::{ConfigSpec, JobResponse, JobSpec, Source, VerifyOutcome};
 pub use replay::{hostperf_configs, run_cells, run_replay, ReplayOptions, ReplayOutcome};
 pub use server::{serve_connection, CounterSnapshot, Server};
 pub use sock::{request_over, serve_stdio, StdioStream};

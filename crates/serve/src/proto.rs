@@ -7,93 +7,54 @@
 //! * `op: "stats"` — return the server's lifetime counters.
 //! * `op: "shutdown"` — acknowledge and stop accepting connections.
 //!
-//! A [`JobSpec`] deliberately names configurations the way the CLI and
-//! the bench specs do — machine class, backend token, optional
-//! enforcement mode, optional LSQ capacity, and the optional geometry
-//! overrides the CLI exposes (`--pcax`, `--pcax-act`, `--filt`,
-//! `--filt-count`, plus the far-memory tier). Every configuration in the
-//! committed `table_hostperf` matrix is expressible (a unit test in
+//! A [`JobSpec`] deliberately names configurations the way the CLI does:
+//! a [`ConfigSpec`] of machine class, backend, and the optional
+//! overrides (enforcement mode, LSQ capacity, PCAX and filter geometry,
+//! far-memory tier, sampling policy). Each field's value is the token of
+//! its type's `Display`/`FromStr` pair, and [`ConfigSpec::set`] is the one
+//! grammar both surfaces parse through: the wire key `pcax_act` is the CLI
+//! flag `--pcax-act`. A value that parses also builds — geometry, threshold
+//! and capacity bounds are checked at parse time, so a malformed request
+//! is an `ok: false` reply, never a panicking worker. Every configuration
+//! in the committed `table_hostperf` matrix is expressible (a unit test in
 //! [`crate::replay`] pins the correspondence), and the server derives the
 //! exact [`SimConfig`] through the same builder the experiment binaries
 //! use, so a spec means the same simulation everywhere.
 
-use aim_lsq::LsqConfig;
+use std::fmt;
+use std::str::FromStr;
+
 use aim_pipeline::{
-    BackendChoice, FarSpec, FilterConfig, MachineClass, MemSpec, PcaxConfig, SampleSpec,
-    SimConfig, TableGeometry,
+    BackendChoice, FarSpec, FilterConfig, LsqConfig, MachineClass, MemSpec, PcaxConfig,
+    SampleSpec, SetsWays, SimConfig,
 };
 use aim_predictor::EnforceMode;
-use aim_types::wire::WireMsg;
+use aim_types::token::parse_choice;
+use aim_types::wire::{WireMsg, WireValue};
 use aim_workloads::Scale;
 
-/// A named LSQ capacity override (the three geometries the paper sweeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LsqChoice {
-    /// The Figure 5 48-entry / 32-entry baseline queue.
-    Baseline48x32,
-    /// The Figure 6 120-entry / 80-entry aggressive queue.
-    Aggressive120x80,
-    /// The Figure 6 256-entry / 256-entry upper-bound queue.
-    Aggressive256x256,
-}
-
-impl LsqChoice {
-    /// The wire/CLI token (`48x32`, `120x80`, `256x256`).
-    pub fn token(self) -> &'static str {
-        match self {
-            LsqChoice::Baseline48x32 => "48x32",
-            LsqChoice::Aggressive120x80 => "120x80",
-            LsqChoice::Aggressive256x256 => "256x256",
-        }
-    }
-
-    /// Parses a wire/CLI token.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message naming the valid tokens.
-    pub fn parse(token: &str) -> Result<LsqChoice, String> {
-        match token {
-            "48x32" => Ok(LsqChoice::Baseline48x32),
-            "120x80" => Ok(LsqChoice::Aggressive120x80),
-            "256x256" => Ok(LsqChoice::Aggressive256x256),
-            other => Err(format!("unknown lsq capacity `{other}` (48x32|120x80|256x256)")),
-        }
-    }
-
-    /// The concrete queue geometry.
-    pub fn config(self) -> LsqConfig {
-        match self {
-            LsqChoice::Baseline48x32 => LsqConfig::baseline_48x32(),
-            LsqChoice::Aggressive120x80 => LsqConfig::aggressive_120x80(),
-            LsqChoice::Aggressive256x256 => LsqConfig::aggressive_256x256(),
-        }
-    }
-}
-
 /// A machine configuration, named the way the CLI names it. Combined with
-/// a kernel and a scale it becomes a [`JobSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// a kernel and a scale it becomes a [`JobSpec`]. The default is the CLI's:
+/// the baseline machine with the paper's SFC/MDT, nothing overridden.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfigSpec {
     /// Figure 4 machine column.
     pub machine: MachineClass,
     /// Backend family.
     pub backend: BackendChoice,
-    /// Enforcement-mode override (SFC/MDT-family backends; `None` keeps
-    /// the builder default).
+    /// Enforcement-mode override (`None` keeps the builder's class and
+    /// backend default).
     pub mode: Option<EnforceMode>,
-    /// LSQ capacity override (`None` keeps the builder default).
-    pub lsq: Option<LsqChoice>,
-    /// PCAX prediction-table geometry override, `(sets, ways)` (the CLI's
-    /// `--pcax SxW`; `None` keeps the builder default).
-    pub pcax: Option<(usize, usize)>,
-    /// PCAX no-alias acting-threshold override (the CLI's `--pcax-act N`).
+    /// LSQ capacity override (`None` keeps the class default).
+    pub lsq: Option<LsqConfig>,
+    /// PCAX prediction-table shape override (`None` keeps the builder
+    /// default).
+    pub pcax: Option<SetsWays>,
+    /// PCAX no-alias acting-threshold override.
     pub pcax_act: Option<u8>,
-    /// Filtered-LSQ filter geometry override, `(sets, ways)` (the CLI's
-    /// `--filt SxW`).
-    pub filt: Option<(usize, usize)>,
-    /// Filtered-LSQ counter-saturation override (the CLI's
-    /// `--filt-count N`).
+    /// Filtered-LSQ filter shape override.
+    pub filt: Option<SetsWays>,
+    /// Filtered-LSQ counter-saturation override.
     pub filt_count: Option<u32>,
     /// Far-memory tier (`None` simulates the near-memory-only hierarchy).
     pub far: Option<FarSpec>,
@@ -102,20 +63,57 @@ pub struct ConfigSpec {
 }
 
 impl ConfigSpec {
+    /// The field names, in wire order. Each is a wire key and, with `--`
+    /// in front and `-` for `_`, a CLI flag.
+    pub const FIELDS: [&'static str; 10] = [
+        "machine", "backend", "mode", "lsq", "pcax", "pcax_act", "filt", "filt_count", "far",
+        "sample",
+    ];
+
+    /// The fields whose wire values are integers rather than strings.
+    const INTEGER_FIELDS: [&'static str; 2] = ["pcax_act", "filt_count"];
+
     /// A spec with every override left at the builder default.
     pub fn new(machine: MachineClass, backend: BackendChoice) -> ConfigSpec {
         ConfigSpec {
             machine,
             backend,
-            mode: None,
-            lsq: None,
-            pcax: None,
-            pcax_act: None,
-            filt: None,
-            filt_count: None,
-            far: None,
-            sample: None,
+            ..ConfigSpec::default()
         }
+    }
+
+    /// Sets the field `key` (one of [`ConfigSpec::FIELDS`]) from its
+    /// token. Bounds are checked here, with the same checks the table and
+    /// threshold constructors assert, so every spec this accepts builds.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an unknown key or a malformed or
+    /// out-of-range token.
+    pub fn set(&mut self, key: &str, token: &str) -> Result<(), String> {
+        match key {
+            "machine" => self.machine = token.parse()?,
+            // `BackendChoice`'s own error omits the vocabulary; this one lists it.
+            "backend" => self.backend = parse_choice("backend", &BackendChoice::ALL, token)?,
+            "mode" => self.mode = Some(token.parse()?),
+            "lsq" => self.lsq = Some(token.parse()?),
+            "pcax" => self.pcax = Some(token.parse()?),
+            "pcax_act" => {
+                let act = token.parse().map_err(|_| format!("bad pcax threshold `{token}`"))?;
+                PcaxConfig { no_alias_act: act, ..PcaxConfig::baseline() }.check()?;
+                self.pcax_act = Some(act);
+            }
+            "filt" => self.filt = Some(token.parse()?),
+            "filt_count" => {
+                let count = token.parse().map_err(|_| format!("bad filter count `{token}`"))?;
+                FilterConfig { max_count: count, ..FilterConfig::baseline() }.check()?;
+                self.filt_count = Some(count);
+            }
+            "far" => self.far = Some(token.parse()?),
+            "sample" => self.sample = Some(token.parse()?),
+            other => return Err(format!("unknown configuration field `{other}`")),
+        }
+        Ok(())
     }
 
     /// Binds this configuration to a kernel and scale.
@@ -127,36 +125,29 @@ impl ConfigSpec {
         }
     }
 
-    /// Derives the exact [`SimConfig`] through the shared builder,
-    /// applying the geometry overrides the same way the CLI's
-    /// `build_config` does.
+    /// Derives the exact [`SimConfig`] through the shared builder.
     pub fn to_config(&self) -> SimConfig {
         let mut b = SimConfig::machine(self.machine).backend(self.backend);
         if let Some(mode) = self.mode {
             b = b.mode(mode);
         }
         if let Some(lsq) = self.lsq {
-            b = b.lsq(lsq.config());
+            b = b.lsq(lsq);
         }
         if self.pcax.is_some() || self.pcax_act.is_some() {
             let baseline = PcaxConfig::baseline();
-            let table = self.pcax.map_or(baseline.table, |(sets, ways)| TableGeometry {
-                sets,
-                ways,
-                ..baseline.table
-            });
             b = b.pcax(PcaxConfig {
-                table,
+                table: self.pcax.map_or(baseline.table, SetsWays::low_bits),
                 no_alias_act: self.pcax_act.unwrap_or(baseline.no_alias_act),
                 ..baseline
             });
         }
         if self.filt.is_some() || self.filt_count.is_some() {
             let baseline = FilterConfig::baseline();
-            let (sets, ways) = self.filt.unwrap_or((baseline.sets, baseline.ways));
+            let shape = self.filt.unwrap_or(baseline.geometry().shape());
             b = b.filter(FilterConfig {
-                sets,
-                ways,
+                sets: shape.sets,
+                ways: shape.ways,
                 max_count: self.filt_count.unwrap_or(baseline.max_count),
             });
         }
@@ -181,141 +172,39 @@ pub struct JobSpec {
     pub config: ConfigSpec,
 }
 
-fn machine_token(machine: MachineClass) -> &'static str {
-    match machine {
-        MachineClass::Baseline => "baseline",
-        MachineClass::Aggressive => "aggressive",
-        MachineClass::Huge => "huge",
-    }
-}
-
-fn parse_machine(token: &str) -> Result<MachineClass, String> {
-    match token {
-        "baseline" => Ok(MachineClass::Baseline),
-        "aggressive" => Ok(MachineClass::Aggressive),
-        "huge" => Ok(MachineClass::Huge),
-        other => Err(format!("unknown machine `{other}` (baseline|aggressive|huge)")),
-    }
-}
-
-/// Renders a `(sets, ways)` geometry as the CLI's `SETSxWAYS` token.
-fn geometry_token((sets, ways): (usize, usize)) -> String {
-    format!("{sets}x{ways}")
-}
-
-/// Parses a `SETSxWAYS` geometry token.
-fn parse_pair(field: &str, token: &str) -> Result<(usize, usize), String> {
-    let (s, w) = token
-        .split_once('x')
-        .ok_or_else(|| format!("`{field}` wants SETSxWAYS, got `{token}`"))?;
-    let sets = s.parse().map_err(|_| format!("bad set count `{s}` in `{field}`"))?;
-    let ways = w.parse().map_err(|_| format!("bad way count `{w}` in `{field}`"))?;
-    Ok((sets, ways))
-}
-
-/// Renders a [`FarSpec`] as `LATENCYxMSHRSxBATCH`.
-fn far_token(far: FarSpec) -> String {
-    format!("{}x{}x{}", far.latency, far.mshrs, far.batch)
-}
-
-/// Parses a `LATENCYxMSHRSxBATCH` far-tier token, rejecting the zero
-/// values [`FarSpec::new`] would panic on.
-fn parse_far(token: &str) -> Result<FarSpec, String> {
-    let bad = || format!("`far` wants LATENCYxMSHRSxBATCH, got `{token}`");
-    let mut parts = token.split('x');
-    let mut next = || parts.next().ok_or_else(bad);
-    let latency: u64 = next()?.parse().map_err(|_| bad())?;
-    let mshrs: usize = next()?.parse().map_err(|_| bad())?;
-    let batch: u64 = next()?.parse().map_err(|_| bad())?;
-    if parts.next().is_some() {
-        return Err(bad());
-    }
-    if latency == 0 || mshrs == 0 || batch == 0 {
-        return Err(format!("far-tier parameters must be nonzero, got `{token}`"));
-    }
-    Ok(FarSpec::new(latency, mshrs, batch))
-}
-
-/// Renders a [`SampleSpec`] as `WARMxDETAILxPERIODS`.
-fn sample_token(sample: SampleSpec) -> String {
-    format!("{}x{}x{}", sample.warm_insts, sample.detail_insts, sample.periods)
-}
-
-/// Parses a `WARMxDETAILxPERIODS` sampling token, rejecting the zero
-/// values [`SampleSpec::new`] rejects.
-fn parse_sample(token: &str) -> Result<SampleSpec, String> {
-    let bad = || format!("`sample` wants WARMxDETAILxPERIODS, got `{token}`");
-    let mut parts = token.split('x');
-    let mut next = || parts.next().ok_or_else(bad);
-    let warm: u64 = next()?.parse().map_err(|_| bad())?;
-    let detail: u64 = next()?.parse().map_err(|_| bad())?;
-    let periods: u32 = next()?.parse().map_err(|_| bad())?;
-    if parts.next().is_some() {
-        return Err(bad());
-    }
-    SampleSpec::new(warm, detail, periods)
-        .ok_or_else(|| format!("sampling parameters must be nonzero, got `{token}`"))
-}
-
-fn mode_token(mode: EnforceMode) -> &'static str {
-    match mode {
-        EnforceMode::TrueOnly => "not-enf",
-        EnforceMode::All => "enf",
-        EnforceMode::TotalOrder => "total",
-    }
-}
-
-fn parse_mode(token: &str) -> Result<EnforceMode, String> {
-    match token {
-        "not-enf" => Ok(EnforceMode::TrueOnly),
-        "enf" => Ok(EnforceMode::All),
-        "total" => Ok(EnforceMode::TotalOrder),
-        other => Err(format!("unknown mode `{other}` (enf|not-enf|total)")),
-    }
-}
-
-fn parse_scale(token: &str) -> Result<Scale, String> {
-    match token {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        "huge" => Ok(Scale::Huge),
-        other => Err(format!("unknown scale `{other}` (tiny|small|full|huge)")),
-    }
-}
-
 impl JobSpec {
     /// Encodes this spec (and its flags) as an `op: "sim"` request.
     pub fn to_wire(&self, verify: bool, no_cache: bool) -> WireMsg {
+        let c = &self.config;
         let mut msg = WireMsg::new();
         msg.put_str("op", "sim")
             .put_str("kernel", &self.kernel)
-            .put_str("scale", aim_bench::scale_token(self.scale))
-            .put_str("machine", machine_token(self.config.machine))
-            .put_str("backend", self.config.backend.token());
-        if let Some(mode) = self.config.mode {
-            msg.put_str("mode", mode_token(mode));
+            .put_str("scale", &self.scale.to_string())
+            .put_str("machine", &c.machine.to_string())
+            .put_str("backend", c.backend.token());
+        if let Some(mode) = c.mode {
+            msg.put_str("mode", &mode.to_string());
         }
-        if let Some(lsq) = self.config.lsq {
-            msg.put_str("lsq", lsq.token());
+        if let Some(lsq) = c.lsq {
+            msg.put_str("lsq", &lsq.to_string());
         }
-        if let Some(pcax) = self.config.pcax {
-            msg.put_str("pcax", &geometry_token(pcax));
+        if let Some(pcax) = c.pcax {
+            msg.put_str("pcax", &pcax.to_string());
         }
-        if let Some(act) = self.config.pcax_act {
+        if let Some(act) = c.pcax_act {
             msg.put_u64("pcax_act", u64::from(act));
         }
-        if let Some(filt) = self.config.filt {
-            msg.put_str("filt", &geometry_token(filt));
+        if let Some(filt) = c.filt {
+            msg.put_str("filt", &filt.to_string());
         }
-        if let Some(count) = self.config.filt_count {
+        if let Some(count) = c.filt_count {
             msg.put_u64("filt_count", u64::from(count));
         }
-        if let Some(far) = self.config.far {
-            msg.put_str("far", &far_token(far));
+        if let Some(far) = c.far {
+            msg.put_str("far", &far.to_string());
         }
-        if let Some(sample) = self.config.sample {
-            msg.put_str("sample", &sample_token(sample));
+        if let Some(sample) = c.sample {
+            msg.put_str("sample", &sample.to_string());
         }
         if verify {
             msg.put_bool("verify", true);
@@ -326,46 +215,40 @@ impl JobSpec {
         msg
     }
 
-    /// Decodes an `op: "sim"` request.
+    /// Decodes an `op: "sim"` request. Every configuration field parses
+    /// through [`ConfigSpec::set`].
     ///
     /// # Errors
     ///
-    /// Returns a one-line message for a missing or unrecognized field.
+    /// Returns a one-line message naming the missing, mistyped, or
+    /// malformed field.
     pub fn from_wire(msg: &WireMsg) -> Result<JobSpec, String> {
-        let field = |key: &str| {
-            msg.str_field(key)
-                .ok_or_else(|| format!("sim request is missing the `{key}` field"))
+        let missing: Vec<String> = ["kernel", "scale", "machine", "backend"]
+            .iter()
+            .filter(|key| msg.get(key).is_none())
+            .map(|key| format!("`{key}`"))
+            .collect();
+        if !missing.is_empty() {
+            return Err(format!("sim request is missing the {} field(s)", missing.join(", ")));
+        }
+        let text = |key: &str| {
+            msg.str_field(key).ok_or_else(|| format!("`{key}` must be a string"))
         };
-        let backend: BackendChoice = field("backend")?
-            .parse()
-            .map_err(|e| format!("{e} (nospec|lsq|filtered|sfc-mdt|pcax|oracle)"))?;
-        let narrow = |key: &'static str, max: u64| {
-            msg.u64_field(key)
-                .map(|v| {
-                    if v == 0 || v > max {
-                        Err(format!("`{key}` must be in 1..={max}, got {v}"))
-                    } else {
-                        Ok(v)
-                    }
-                })
-                .transpose()
-        };
-        Ok(JobSpec {
-            kernel: field("kernel")?.to_string(),
-            scale: parse_scale(field("scale")?)?,
-            config: ConfigSpec {
-                machine: parse_machine(field("machine")?)?,
-                backend,
-                mode: msg.str_field("mode").map(parse_mode).transpose()?,
-                lsq: msg.str_field("lsq").map(LsqChoice::parse).transpose()?,
-                pcax: msg.str_field("pcax").map(|t| parse_pair("pcax", t)).transpose()?,
-                pcax_act: narrow("pcax_act", u64::from(u8::MAX))?.map(|v| v as u8),
-                filt: msg.str_field("filt").map(|t| parse_pair("filt", t)).transpose()?,
-                filt_count: narrow("filt_count", u64::from(u32::MAX))?.map(|v| v as u32),
-                far: msg.str_field("far").map(parse_far).transpose()?,
-                sample: msg.str_field("sample").map(parse_sample).transpose()?,
-            },
-        })
+        let kernel = text("kernel")?.to_string();
+        let scale = text("scale")?.parse().map_err(|e| format!("`scale`: {e}"))?;
+        let mut config = ConfigSpec::default();
+        for key in ConfigSpec::FIELDS {
+            let token = match msg.get(key) {
+                None => continue,
+                Some(WireValue::U64(n)) if ConfigSpec::INTEGER_FIELDS.contains(&key) => {
+                    n.to_string()
+                }
+                Some(WireValue::Str(s)) if !ConfigSpec::INTEGER_FIELDS.contains(&key) => s.clone(),
+                Some(_) => return Err(format!("`{key}` has the wrong JSON type")),
+            };
+            config.set(key, &token).map_err(|e| format!("`{key}`: {e}"))?;
+        }
+        Ok(JobSpec { kernel, scale, config })
     }
 }
 
@@ -381,13 +264,25 @@ pub enum Source {
 }
 
 impl Source {
-    /// The wire token.
-    pub fn token(self) -> &'static str {
-        match self {
+    const ALL: [Source; 3] = [Source::Sim, Source::Cache, Source::Dedup];
+}
+
+/// The wire token: `sim`, `cache`, `dedup`.
+impl fmt::Display for Source {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
             Source::Sim => "sim",
             Source::Cache => "cache",
             Source::Dedup => "dedup",
-        }
+        })
+    }
+}
+
+impl FromStr for Source {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Source, String> {
+        parse_choice("source", &Source::ALL, s)
     }
 }
 
@@ -403,13 +298,26 @@ pub enum VerifyOutcome {
 }
 
 impl VerifyOutcome {
-    /// The wire token.
-    pub fn token(self) -> &'static str {
-        match self {
+    const ALL: [VerifyOutcome; 3] =
+        [VerifyOutcome::Cold, VerifyOutcome::Match, VerifyOutcome::Mismatch];
+}
+
+/// The wire token: `cold`, `match`, `mismatch`.
+impl fmt::Display for VerifyOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
             VerifyOutcome::Cold => "cold",
             VerifyOutcome::Match => "match",
             VerifyOutcome::Mismatch => "mismatch",
-        }
+        })
+    }
+}
+
+impl FromStr for VerifyOutcome {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<VerifyOutcome, String> {
+        parse_choice("verify outcome", &VerifyOutcome::ALL, s)
     }
 }
 
@@ -441,13 +349,13 @@ impl JobResponse {
         let mut msg = WireMsg::new();
         msg.put_bool("ok", true)
             .put_str("key", &self.key)
-            .put_str("source", self.source.token())
+            .put_str("source", &self.source.to_string())
             .put_u64("cycles", self.cycles)
             .put_u64("retired", self.retired)
             .put_str("fingerprint", &format!("{:#018x}", self.fingerprint))
             .put_str("stats", &self.stats_text);
         if let Some(v) = self.verify {
-            msg.put_str("verify", v.token());
+            msg.put_str("verify", &v.to_string());
         }
         msg
     }
@@ -467,19 +375,8 @@ impl JobResponse {
             msg.str_field(key)
                 .ok_or_else(|| format!("response is missing the `{key}` field"))
         };
-        let source = match field("source")? {
-            "sim" => Source::Sim,
-            "cache" => Source::Cache,
-            "dedup" => Source::Dedup,
-            other => return Err(format!("unknown source `{other}`")),
-        };
-        let verify = match msg.str_field("verify") {
-            None => None,
-            Some("cold") => Some(VerifyOutcome::Cold),
-            Some("match") => Some(VerifyOutcome::Match),
-            Some("mismatch") => Some(VerifyOutcome::Mismatch),
-            Some(other) => return Err(format!("unknown verify outcome `{other}`")),
-        };
+        let source = field("source")?.parse()?;
+        let verify = msg.str_field("verify").map(str::parse).transpose()?;
         let fingerprint = field("fingerprint")?;
         let fingerprint = fingerprint
             .strip_prefix("0x")
@@ -507,13 +404,14 @@ pub(crate) fn error_reply(message: &str) -> WireMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aim_pipeline::TableGeometry;
 
     fn spec() -> JobSpec {
         JobSpec {
             kernel: "gzip".to_string(),
             scale: Scale::Tiny,
             config: ConfigSpec {
-                lsq: Some(LsqChoice::Aggressive120x80),
+                lsq: Some(LsqConfig::aggressive_120x80()),
                 ..ConfigSpec::new(MachineClass::Aggressive, BackendChoice::Lsq)
             },
         }
@@ -542,10 +440,10 @@ mod tests {
     fn geometry_overrides_round_trip_through_the_wire() {
         let full = ConfigSpec {
             mode: Some(EnforceMode::TotalOrder),
-            lsq: Some(LsqChoice::Aggressive256x256),
-            pcax: Some((256, 1)),
+            lsq: Some(LsqConfig::aggressive_256x256()),
+            pcax: Some(SetsWays { sets: 256, ways: 1 }),
             pcax_act: Some(3),
-            filt: Some((512, 4)),
+            filt: Some(SetsWays { sets: 512, ways: 4 }),
             filt_count: Some(31),
             far: Some(FarSpec::new(400, 64, 8)),
             sample: SampleSpec::new(2_000, 500, 10),
@@ -590,6 +488,25 @@ mod tests {
         act.put_u64("pcax_act", 700);
         let err = JobSpec::from_wire(&act).unwrap_err();
         assert!(err.contains("pcax_act"), "{err}");
+        // Values a table or threshold constructor would panic on are
+        // rejected at decode time, naming the field.
+        for (key, token, why) in [
+            ("pcax", "3x1", "power of two"),
+            ("filt", "6x1", "power of two"),
+            ("filt", "4x65", "at most 64 ways"),
+            ("lsq", "0x0", "nonzero"),
+        ] {
+            let err = JobSpec::from_wire(&base(key, token)).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")) && err.contains(why), "{err}");
+        }
+        for (key, value, why) in [("pcax_act", 200, "1..=3"), ("filt_count", 0, "at least 1")] {
+            let mut msg = base("pcax", "256x1");
+            msg.put_u64(key, value);
+            let err = JobSpec::from_wire(&msg).unwrap_err();
+            assert!(err.contains(key) && err.contains(why), "{err}");
+        }
+        let err = JobSpec::from_wire(&base("pcax_act", "2")).unwrap_err();
+        assert!(err.contains("pcax_act") && err.contains("type"), "{err}");
     }
 
     #[test]
@@ -605,8 +522,8 @@ mod tests {
             .put_str("scale", "tiny")
             .put_str("machine", "baseline")
             .put_str("backend", "lsq")
-            .put_str("lsq", "7x7");
-        assert!(JobSpec::from_wire(&bad).unwrap_err().contains("7x7"));
+            .put_str("lsq", "0x7");
+        assert!(JobSpec::from_wire(&bad).unwrap_err().contains("0x7"));
     }
 
     #[test]
@@ -644,7 +561,7 @@ mod tests {
     #[test]
     fn geometry_overrides_build_like_the_cli() {
         let spec = ConfigSpec {
-            pcax: Some((256, 1)),
+            pcax: Some(SetsWays { sets: 256, ways: 1 }),
             pcax_act: Some(3),
             far: Some(FarSpec::new(200, 32, 4)),
             sample: SampleSpec::new(4_000, 1_000, 8),

@@ -16,11 +16,11 @@
 //!
 //! [`duplex`]: aim_types::wire::duplex
 
-use crate::proto::{ConfigSpec, JobResponse, JobSpec, LsqChoice, VerifyOutcome};
+use crate::proto::{ConfigSpec, JobResponse, JobSpec, VerifyOutcome};
 use crate::server::{serve_connection, Server};
 use crate::sock::request_over;
 use aim_bench::{fingerprint_texts, ServeReport, ServeRound};
-use aim_pipeline::{BackendChoice, MachineClass};
+use aim_pipeline::{BackendChoice, LsqConfig, MachineClass};
 use aim_predictor::EnforceMode;
 use aim_types::wire::duplex;
 use aim_workloads::Scale;
@@ -49,7 +49,7 @@ pub fn hostperf_configs() -> Vec<(String, ConfigSpec)> {
         ("aggr-nospec".into(), spec(a, BackendChoice::NoSpec, None, None)),
         (
             "aggr-lsq-120x80".into(),
-            spec(a, BackendChoice::Lsq, None, Some(LsqChoice::Aggressive120x80)),
+            spec(a, BackendChoice::Lsq, None, Some(LsqConfig::aggressive_120x80())),
         ),
         (
             "aggr-sfc-mdt-enf".into(),

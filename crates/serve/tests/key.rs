@@ -26,10 +26,10 @@ use aim_bench::{cache_key_of_texts, canonical_config_text, CacheKey, CODE_VERSIO
 use aim_lsq::LsqConfig;
 use aim_pipeline::{
     BackendChoice, FarSpec, FilterConfig, MachineClass, MemSpec, OutputDepRecovery, PcaxConfig,
-    SampleSpec, SimConfig, TableGeometry,
+    SampleSpec, SetsWays, SimConfig,
 };
 use aim_predictor::EnforceMode;
-use aim_serve::{ConfigSpec, LsqChoice};
+use aim_serve::{ConfigSpec, JobSpec};
 use proptest::prelude::*;
 
 /// A fixed program text: these properties quantify over configurations,
@@ -56,12 +56,12 @@ fn spec_from_seed(seed: u64) -> ConfigSpec {
     };
     let lsq = match (seed >> 7) % 4 {
         0 | 1 => None,
-        2 => Some(LsqChoice::Baseline48x32),
-        _ => Some(LsqChoice::Aggressive120x80),
+        2 => Some(LsqConfig::baseline_48x32()),
+        _ => Some(LsqConfig::aggressive_120x80()),
     };
-    let pcax = ((seed >> 9) % 4 == 3).then_some((256, 1));
+    let pcax = ((seed >> 9) % 4 == 3).then_some(SetsWays { sets: 256, ways: 1 });
     let pcax_act = ((seed >> 11) % 4 == 3).then_some(3);
-    let filt = ((seed >> 13) % 4 == 3).then_some((512, 4));
+    let filt = ((seed >> 13) % 4 == 3).then_some(SetsWays { sets: 512, ways: 4 });
     let filt_count = ((seed >> 15) % 4 == 3).then_some(31);
     let far = match (seed >> 17) % 4 {
         0 | 1 => None,
@@ -97,7 +97,7 @@ fn build_reordered(spec: &ConfigSpec) -> SimConfig {
     }
     if spec.filt.is_some() || spec.filt_count.is_some() {
         let baseline = FilterConfig::baseline();
-        let (sets, ways) = spec.filt.unwrap_or((baseline.sets, baseline.ways));
+        let (sets, ways) = spec.filt.map_or((baseline.sets, baseline.ways), |g| (g.sets, g.ways));
         b = b.filter(FilterConfig {
             sets,
             ways,
@@ -106,11 +106,7 @@ fn build_reordered(spec: &ConfigSpec) -> SimConfig {
     }
     if spec.pcax.is_some() || spec.pcax_act.is_some() {
         let baseline = PcaxConfig::baseline();
-        let table = spec.pcax.map_or(baseline.table, |(sets, ways)| TableGeometry {
-            sets,
-            ways,
-            ..baseline.table
-        });
+        let table = spec.pcax.map_or(baseline.table, SetsWays::low_bits);
         b = b.pcax(PcaxConfig {
             table,
             no_alias_act: spec.pcax_act.unwrap_or(baseline.no_alias_act),
@@ -118,7 +114,7 @@ fn build_reordered(spec: &ConfigSpec) -> SimConfig {
         });
     }
     if let Some(lsq) = spec.lsq {
-        b = b.lsq(lsq.config());
+        b = b.lsq(lsq);
     }
     if let Some(mode) = spec.mode {
         b = b.mode(mode);
@@ -135,28 +131,19 @@ fn build_default_filled(spec: &ConfigSpec) -> SimConfig {
         BackendChoice::SfcMdt | BackendChoice::Pcax => EnforceMode::All,
         _ => EnforceMode::TrueOnly,
     });
-    let lsq = spec.lsq.map_or_else(
-        || {
-            if spec.machine == MachineClass::Huge {
-                LsqConfig::aggressive_256x256()
-            } else {
-                LsqConfig::baseline_48x32()
-            }
-        },
-        LsqChoice::config,
-    );
+    let lsq = spec.lsq.unwrap_or(if spec.machine == MachineClass::Huge {
+        LsqConfig::aggressive_256x256()
+    } else {
+        LsqConfig::baseline_48x32()
+    });
     let pcax_baseline = PcaxConfig::baseline();
     let pcax = PcaxConfig {
-        table: spec.pcax.map_or(pcax_baseline.table, |(sets, ways)| TableGeometry {
-            sets,
-            ways,
-            ..pcax_baseline.table
-        }),
+        table: spec.pcax.map_or(pcax_baseline.table, SetsWays::low_bits),
         no_alias_act: spec.pcax_act.unwrap_or(pcax_baseline.no_alias_act),
         ..pcax_baseline
     };
     let filt_baseline = FilterConfig::baseline();
-    let (sets, ways) = spec.filt.unwrap_or((filt_baseline.sets, filt_baseline.ways));
+    let (sets, ways) = spec.filt.map_or((filt_baseline.sets, filt_baseline.ways), |g| (g.sets, g.ways));
     let filter = FilterConfig {
         sets,
         ways,
@@ -228,6 +215,10 @@ fn check_key_case(seed: u64) -> Result<(), TestCaseError> {
     let spec = spec_from_seed(seed);
     let cfg = spec.to_config();
     let key = key_of(&cfg);
+
+    // The spec survives the wire unchanged, whatever it overrides.
+    let job = spec.job("gzip", aim_workloads::Scale::Small);
+    prop_assert_eq!(JobSpec::from_wire(&job.to_wire(false, false)), Ok(job));
 
     // Determinism and construction invariance.
     prop_assert_eq!(key, key_of(&cfg));
@@ -306,4 +297,30 @@ fn regression_seeds_stay_green() {
         replayed += 1;
     }
     assert!(replayed >= 4, "regression file lost its seeds");
+}
+
+/// Every request the committed matrices send, encoded: the 240 tiny
+/// `table_hostperf` cells then the `table_far_mem` cells, kernel-major.
+fn matrix_requests() -> Vec<String> {
+    let configs: Vec<ConfigSpec> = aim_serve::hostperf_configs()
+        .into_iter()
+        .chain(aim_serve::farmem_configs())
+        .map(|(_, spec)| spec)
+        .collect();
+    aim_workloads::names()
+        .iter()
+        .flat_map(|k| configs.iter().map(move |spec| spec.job(k, aim_workloads::Scale::Tiny)))
+        .map(|job| job.to_wire(false, false).to_json())
+        .collect()
+}
+
+/// Wire compatibility: the requests a client sends for the committed
+/// matrices are byte-identical to the ones older clients sent, so a
+/// running server (and its cache) sees the same requests either way.
+#[test]
+fn matrix_requests_stay_byte_identical() {
+    let requests = matrix_requests();
+    assert_eq!(requests.len(), aim_workloads::names().len() * (12 + 24));
+    let hash = aim_bench::fingerprint_texts(requests.iter().map(String::as_str));
+    assert_eq!(hash, 0xb8a1_80eb_8721_69d1, "wire request bytes moved: {hash:#018x}");
 }

@@ -189,7 +189,28 @@ fn wire_errors_are_actionable_and_non_fatal() {
     assert_eq!(reply.bool_field("ok"), Some(false));
     assert!(reply.str_field("err").unwrap().contains("op"));
 
-    // The connection still serves a real job after three bad requests…
+    // Shapes, thresholds and capacities a constructor would panic on are
+    // rejected at decode time, naming the field, instead of killing a
+    // worker and leaving the request unanswered.
+    let malformed = |key: &str, value: &str| {
+        let mut msg = WireMsg::parse(
+            r#"{"op":"sim","kernel":"gzip","scale":"tiny","machine":"baseline","backend":"pcax"}"#,
+        )
+        .unwrap();
+        match value.parse::<u64>() {
+            Ok(n) => msg.put_u64(key, n),
+            Err(_) => msg.put_str(key, value),
+        };
+        msg
+    };
+    for (key, value) in [("pcax", "3x1"), ("pcax_act", "200"), ("filt", "6x1"), ("lsq", "0x0")] {
+        let reply = run(&malformed(key, value));
+        assert_eq!(reply.bool_field("ok"), Some(false), "{key}: {value} was accepted");
+        let err = reply.str_field("err").unwrap();
+        assert!(err.contains(&format!("`{key}`")), "error does not name `{key}`: {err}");
+    }
+
+    // The connection still serves a real job after the bad requests…
     let reply = run(&spec(0, "gzip").to_wire(false, false));
     assert_eq!(reply.bool_field("ok"), Some(true));
     assert_eq!(reply.str_field("source"), Some("sim"));

@@ -25,6 +25,7 @@ mod addr;
 mod mask;
 mod sample;
 mod seq;
+pub mod token;
 mod violation;
 pub mod wire;
 

@@ -146,6 +146,11 @@ impl WireMsg {
         self
     }
 
+    /// The field names, in insertion order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(|(k, _)| k.as_str())
+    }
+
     /// The first value stored under `key`, if any.
     pub fn get(&self, key: &str) -> Option<&WireValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -190,17 +195,29 @@ impl WireMsg {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2 + self.fields.len() * 24);
         out.push('{');
+        self.write_fields(&mut out, ",", ":");
+        out.push('}');
+        out
+    }
+
+    /// Appends the fields as `"key"` `colon` `value` pairs separated by
+    /// `sep`, without the enclosing braces: [`WireMsg::to_json`] uses
+    /// `","` and `":"`, the `BENCH_*.json` report writer `", "` and `": "`.
+    /// Strings are escaped, and floats render with six decimals (a
+    /// non-finite float renders as `0.000000`, which JSON can carry).
+    pub fn write_fields(&self, out: &mut String, sep: &str, colon: &str) {
         for (i, (key, value)) in self.fields.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push_str(sep);
             }
             out.push('"');
-            escape_into(key, &mut out);
-            out.push_str("\":");
+            escape_into(key, out);
+            out.push('"');
+            out.push_str(colon);
             match value {
                 WireValue::Str(s) => {
                     out.push('"');
-                    escape_into(s, &mut out);
+                    escape_into(s, out);
                     out.push('"');
                 }
                 WireValue::U64(n) => out.push_str(&n.to_string()),
@@ -209,8 +226,6 @@ impl WireMsg {
                 WireValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             }
         }
-        out.push('}');
-        out
     }
 
     /// Parses one flat JSON object.

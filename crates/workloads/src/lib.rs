@@ -44,7 +44,11 @@ pub mod stress;
 
 pub use kernel::{KernelBuilder, Xorshift};
 
+use std::fmt;
+use std::str::FromStr;
+
 use aim_isa::Program;
+use aim_types::token::parse_choice;
 
 /// Which of the paper's two benchmark suites a kernel belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,6 +57,16 @@ pub enum Suite {
     Int,
     /// SPECfp 2000 analogue.
     Fp,
+}
+
+/// The lowercase token: `int`, `fp`.
+impl fmt::Display for Suite {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Suite::Int => "int",
+            Suite::Fp => "fp",
+        })
+    }
 }
 
 /// Dynamic instruction budget of a kernel.
@@ -74,6 +88,9 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 4] = [Scale::Tiny, Scale::Small, Scale::Full, Scale::Huge];
+
     /// The approximate dynamic-instruction target of this scale.
     pub fn target_instrs(self) -> u64 {
         match self {
@@ -88,6 +105,26 @@ impl Scale {
     /// bounds from.
     pub fn iterations(self, per_iter_cost: u64) -> i64 {
         (self.target_instrs() / per_iter_cost.max(1)).max(8) as i64
+    }
+}
+
+/// The lowercase token: `tiny`, `small`, `full`, `huge`.
+impl fmt::Display for Scale {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+            Scale::Huge => "huge",
+        })
+    }
+}
+
+impl FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Scale, String> {
+        parse_choice("scale", &Scale::ALL, s)
     }
 }
 
@@ -160,6 +197,17 @@ pub fn names() -> Vec<&'static str> {
 mod tests {
     use super::*;
     use aim_isa::Interpreter;
+
+    #[test]
+    fn scale_tokens_round_trip() {
+        for scale in Scale::ALL {
+            assert_eq!(scale.to_string().parse(), Ok(scale));
+        }
+        assert_eq!(
+            "medium".parse::<Scale>().unwrap_err(),
+            "unknown scale `medium` (tiny|small|full|huge)"
+        );
+    }
 
     #[test]
     fn registry_is_complete() {

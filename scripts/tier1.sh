@@ -30,6 +30,13 @@ for pkg in "${AIM_PACKAGES[@]}"; do
   cargo test -q -p "${pkg}"
 done
 
+# The host-performance benchmark (perfbench/) is a workspace of its own that
+# compiles against the APIs this workspace exports (ConfigSpec, the hostperf
+# matrix, the wire JobSpec, cache entries, stats fingerprints): build it and
+# run its self-tests so an API change that breaks it fails here.
+echo "== tier1: cargo test --release --manifest-path perfbench/Cargo.toml =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # The backend-conformance suite is the contract every MemBackend implements;
 # run it by name so a test-filtering regression cannot silently drop it.
 echo "== tier1: cargo test -p aim-backend --test conformance =="
