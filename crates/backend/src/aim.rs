@@ -10,19 +10,21 @@ use crate::{
     StoreOutcome, StoreRequest,
 };
 
-/// Counters for the SFC/MDT/StoreFIFO backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AimStats {
-    /// SFC counters.
-    pub sfc: SfcStats,
-    /// MDT counters.
-    pub mdt: MdtStats,
-    /// Peak SFC line occupancy.
-    pub sfc_peak_occupancy: usize,
-    /// Peak MDT entry occupancy.
-    pub mdt_peak_occupancy: usize,
-    /// Peak store-FIFO occupancy.
-    pub store_fifo_peak: usize,
+aim_types::record! {
+    /// Counters for the SFC/MDT/StoreFIFO backend.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct AimStats {
+        /// SFC counters.
+        pub sfc: SfcStats,
+        /// MDT counters.
+        pub mdt: MdtStats,
+        /// Peak SFC line occupancy.
+        pub sfc_peak_occupancy: usize,
+        /// Peak MDT entry occupancy.
+        pub mdt_peak_occupancy: usize,
+        /// Peak store-FIFO occupancy.
+        pub store_fifo_peak: usize,
+    }
 }
 
 /// The address-indexed memory unit of the paper (Figure 1): stores buffer in

@@ -4,6 +4,8 @@
 use core::fmt;
 use std::str::FromStr;
 
+use aim_types::token::parse_choice;
+
 /// Which backend family a run selects — the single source of truth for the
 /// `--backend` CLI flag, bench spec config names, and the `backend` strings
 /// in JSON reports. Parsing ([`FromStr`]) and printing ([`fmt::Display`])
@@ -57,26 +59,13 @@ impl fmt::Display for BackendChoice {
     }
 }
 
-/// The error [`BackendChoice::from_str`] reports for an unrecognized token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownBackend(pub String);
-
-impl fmt::Display for UnknownBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown backend `{}`", self.0)
-    }
-}
-
-impl std::error::Error for UnknownBackend {}
-
+/// Parses the [`BackendChoice::token`]; an unknown token's error lists
+/// the vocabulary.
 impl FromStr for BackendChoice {
-    type Err = UnknownBackend;
+    type Err = String;
 
-    fn from_str(s: &str) -> Result<BackendChoice, UnknownBackend> {
-        BackendChoice::ALL
-            .into_iter()
-            .find(|c| c.token() == s)
-            .ok_or_else(|| UnknownBackend(s.to_string()))
+    fn from_str(s: &str) -> Result<BackendChoice, String> {
+        parse_choice("backend", &BackendChoice::ALL, s)
     }
 }
 
@@ -106,6 +95,6 @@ mod tests {
     #[test]
     fn unknown_token_reports_itself() {
         let err = "sfc".parse::<BackendChoice>().unwrap_err();
-        assert_eq!(err.to_string(), "unknown backend `sfc`");
+        assert_eq!(err, "unknown backend `sfc` (nospec|lsq|filtered|sfc-mdt|pcax|oracle)");
     }
 }

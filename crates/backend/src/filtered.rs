@@ -107,31 +107,33 @@ impl FilterConfig {
     }
 }
 
-/// Filter-side activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Loads the filter proved alias-free: they bypassed the CAM search.
-    pub filtered_loads: u64,
-    /// Loads that hit the filter and paid the associative search.
-    pub searched_loads: u64,
-    /// Filter hits whose search forwarded nothing — conservative
-    /// imprecision (tag aliasing, younger same-word stores, overflowed
-    /// sets).
-    pub false_positive_hits: u64,
-    /// Stores the filter could not count precisely (set conflict or counter
-    /// saturation); each forces its set conservative until it drains.
-    pub saturation_fallbacks: u64,
-}
+aim_types::record! {
+    /// Filter-side activity counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FilterStats {
+        /// Loads the filter proved alias-free: they bypassed the CAM search.
+        pub filtered_loads: u64,
+        /// Loads that hit the filter and paid the associative search.
+        pub searched_loads: u64,
+        /// Filter hits whose search forwarded nothing — conservative
+        /// imprecision (tag aliasing, younger same-word stores, overflowed
+        /// sets).
+        pub false_positive_hits: u64,
+        /// Stores the filter could not count precisely (set conflict or counter
+        /// saturation); each forces its set conservative until it drains.
+        pub saturation_fallbacks: u64,
+    }
 
-/// Combined counters for the filtered backend: the wrapped queue's CAM
-/// activity plus the filter's own.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilteredStats {
-    /// The wrapped load/store queue's counters. `sq_searches` here counts
-    /// only the loads the filter did *not* skip.
-    pub lsq: LsqStats,
-    /// The filter's counters.
-    pub filter: FilterStats,
+    /// Combined counters for the filtered backend: the wrapped queue's CAM
+    /// activity plus the filter's own.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FilteredStats {
+        /// The wrapped load/store queue's counters. `sq_searches` here counts
+        /// only the loads the filter did *not* skip.
+        pub lsq: LsqStats,
+        /// The filter's counters.
+        pub filter: FilterStats,
+    }
 }
 
 /// Where an executed store was counted, so retirement/squash can undo it

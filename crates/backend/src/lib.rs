@@ -49,6 +49,8 @@
 
 use aim_core::{Mdt, Sfc};
 use aim_mem::MainMemory;
+use aim_types::record::Field;
+use aim_types::wire::WireMsg;
 use aim_types::{MemAccess, SeqNum};
 
 mod aim;
@@ -61,7 +63,7 @@ mod oracle;
 mod pcax;
 
 pub use crate::aim::{AimBackend, AimStats};
-pub use crate::choice::{BackendChoice, UnknownBackend};
+pub use crate::choice::BackendChoice;
 pub use crate::filtered::{
     FilterConfig, FilterSlot, FilterStats, FilteredLsqBackend, FilteredStats, StoreFilter,
 };
@@ -290,6 +292,36 @@ impl BackendStats {
             BackendStats::NoSpec(s) => Some(s),
             _ => None,
         }
+    }
+}
+
+/// The record form: the family tag under the field's own key, then the
+/// variant's counters under `key.`.
+impl Field for BackendStats {
+    fn put(&self, key: &str, msg: &mut WireMsg) {
+        msg.put_str(key, self.family());
+        match self {
+            BackendStats::None => {}
+            BackendStats::Lsq(s) => s.put(key, msg),
+            BackendStats::Filtered(s) => s.put(key, msg),
+            BackendStats::Aim(s) => s.put(key, msg),
+            BackendStats::Pcax(s) => s.put(key, msg),
+            BackendStats::Oracle(s) => s.put(key, msg),
+            BackendStats::NoSpec(s) => s.put(key, msg),
+        }
+    }
+
+    fn take(key: &str, msg: &WireMsg) -> Result<BackendStats, String> {
+        Ok(match msg.str_field(key) {
+            Some("none") => BackendStats::None,
+            Some("lsq") => BackendStats::Lsq(Field::take(key, msg)?),
+            Some("filtered") => BackendStats::Filtered(Field::take(key, msg)?),
+            Some("aim") => BackendStats::Aim(Field::take(key, msg)?),
+            Some("pcax") => BackendStats::Pcax(Field::take(key, msg)?),
+            Some("oracle") => BackendStats::Oracle(Field::take(key, msg)?),
+            Some("nospec") => BackendStats::NoSpec(Field::take(key, msg)?),
+            _ => return Err(format!("record field `{key}` is missing or not a backend family")),
+        })
     }
 }
 

@@ -10,14 +10,16 @@ use crate::{
     StoreOutcome, StoreRequest,
 };
 
-/// Counters for the no-speculation backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NoSpecStats {
-    /// Load execute attempts dropped because an older store was still in
-    /// flight.
-    pub order_waits: u64,
-    /// Peak number of in-flight stores tracked.
-    pub peak_inflight_stores: usize,
+aim_types::record! {
+    /// Counters for the no-speculation backend.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct NoSpecStats {
+        /// Load execute attempts dropped because an older store was still in
+        /// flight.
+        pub order_waits: u64,
+        /// Peak number of in-flight stores tracked.
+        pub peak_inflight_stores: usize,
+    }
 }
 
 /// Total load serialization: a load executes only once *every* older store

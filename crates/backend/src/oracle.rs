@@ -10,18 +10,20 @@ use crate::{
     ReplayCause, StoreOutcome, StoreRequest,
 };
 
-/// Counters for the oracle backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OracleStats {
-    /// Loads fully satisfied from in-flight stores.
-    pub full_forwards: u64,
-    /// Loads partially satisfied (merged with memory).
-    pub partial_forwards: u64,
-    /// Load execute attempts dropped to wait for an older overlapping
-    /// store's data.
-    pub order_waits: u64,
-    /// Peak number of in-flight stores tracked.
-    pub peak_inflight_stores: usize,
+aim_types::record! {
+    /// Counters for the oracle backend.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct OracleStats {
+        /// Loads fully satisfied from in-flight stores.
+        pub full_forwards: u64,
+        /// Loads partially satisfied (merged with memory).
+        pub partial_forwards: u64,
+        /// Load execute attempts dropped to wait for an older overlapping
+        /// store's data.
+        pub order_waits: u64,
+        /// Peak number of in-flight stores tracked.
+        pub peak_inflight_stores: usize,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

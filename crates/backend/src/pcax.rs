@@ -116,31 +116,33 @@ impl PcaxConfig {
     }
 }
 
-/// Prediction/training counters for the PCAX backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PcaxPredStats {
-    /// Loads classified no-alias at dispatch.
-    pub loads_no_alias: u64,
-    /// Loads classified predicted-forward at dispatch.
-    pub loads_forward: u64,
-    /// Loads classified unknown at dispatch (full SFC+MDT path).
-    pub loads_unknown: u64,
-    /// No-alias loads that retired clean without a veto.
-    pub no_alias_correct: u64,
-    /// No-alias skips vetoed by the MDT's executed-older-store probe.
-    pub no_alias_vetoed: u64,
-    /// Predicted no-alias loads caught in an ordering violation.
-    pub no_alias_violated: u64,
-    /// Predicted-forward loads that retired with their value forwarded.
-    pub forward_hits: u64,
-    /// Predicted-forward loads that retired without forwarding.
-    pub forward_misses: u64,
-    /// OrderWait replays spent waiting for a predicted producer store.
-    pub forward_wait_replays: u64,
-    /// SFC probes skipped by acted-on no-alias predictions.
-    pub sfc_probes_skipped: u64,
-    /// Table installs from MDT true-dependence violations.
-    pub violation_trainings: u64,
+aim_types::record! {
+    /// Prediction/training counters for the PCAX backend.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PcaxPredStats {
+        /// Loads classified no-alias at dispatch.
+        pub loads_no_alias: u64,
+        /// Loads classified predicted-forward at dispatch.
+        pub loads_forward: u64,
+        /// Loads classified unknown at dispatch (full SFC+MDT path).
+        pub loads_unknown: u64,
+        /// No-alias loads that retired clean without a veto.
+        pub no_alias_correct: u64,
+        /// No-alias skips vetoed by the MDT's executed-older-store probe.
+        pub no_alias_vetoed: u64,
+        /// Predicted no-alias loads caught in an ordering violation.
+        pub no_alias_violated: u64,
+        /// Predicted-forward loads that retired with their value forwarded.
+        pub forward_hits: u64,
+        /// Predicted-forward loads that retired without forwarding.
+        pub forward_misses: u64,
+        /// OrderWait replays spent waiting for a predicted producer store.
+        pub forward_wait_replays: u64,
+        /// SFC probes skipped by acted-on no-alias predictions.
+        pub sfc_probes_skipped: u64,
+        /// Table installs from MDT true-dependence violations.
+        pub violation_trainings: u64,
+    }
 }
 
 impl PcaxPredStats {
@@ -173,14 +175,16 @@ impl PcaxPredStats {
     }
 }
 
-/// Counters for the PCAX backend: the wrapped SFC/MDT machinery plus the
-/// prediction table's own.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PcaxStats {
-    /// The wrapped SFC/MDT/StoreFIFO counters.
-    pub aim: AimStats,
-    /// Classification and training counters.
-    pub pred: PcaxPredStats,
+aim_types::record! {
+    /// Counters for the PCAX backend: the wrapped SFC/MDT machinery plus the
+    /// prediction table's own.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct PcaxStats {
+        /// The wrapped SFC/MDT/StoreFIFO counters.
+        pub aim: AimStats,
+        /// Classification and training counters.
+        pub pred: PcaxPredStats,
+    }
 }
 
 /// One classification-table entry per static load.

@@ -501,11 +501,7 @@ fn sibling_interference_is_invisible_to_backends() {
             assert_eq!(clean.replays, noisy.replays, "{name}: replays");
             assert_eq!(clean.squashes, noisy.squashes, "{name}: squashes");
             assert_eq!(clean.rounds, noisy.rounds, "{name}: rounds");
-            assert_eq!(
-                format!("{:?}", clean.stats),
-                format!("{:?}", noisy.stats),
-                "{name}: backend stats"
-            );
+            assert_eq!(clean.stats, noisy.stats, "{name}: backend stats");
             // The final image differs exactly by the sibling's bytes.
             let noisy_script_mem: Vec<(u64, u8)> = noisy
                 .final_mem

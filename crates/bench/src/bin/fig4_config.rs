@@ -83,7 +83,7 @@ fn main() {
         format!("{} entries", b.rob_entries),
         format!("{} entries", a.rob_entries),
     );
-    let h = b.hierarchy;
+    let h = b.mem;
     row(
         "L1 I-cache",
         format!(

@@ -21,9 +21,8 @@
 //! or the full sets × ways × counter-width study.
 
 use aim_bench::{
-    csv_path_from_args, find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed,
-    scale_from_args, specs, CsvTable, FilterSweepReport, FilterSweepRow, KneePoint, Report,
-    SweepReport,
+    find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args,
+    specs, FilterSweepReport, FilterSweepRow, KneePoint, Report, SweepReport,
 };
 use aim_pipeline::FilterStats;
 use aim_types::geomean;
@@ -83,18 +82,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut knee_points = Vec::new();
     let mut bracket_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "point",
-        "sets",
-        "ways",
-        "max_count",
-        "entries",
-        "ipc_norm",
-        "gap_closed",
-        "filter_rate",
-        "false_positive_hits",
-        "saturation_fallbacks",
-    ]);
     for (p, &(table, max_count)) in points.iter().enumerate() {
         let c = first_point + p;
         let name = &spec.configs[c].0;
@@ -141,18 +128,6 @@ fn main() {
             filter.false_positive_hits,
             filter.saturation_fallbacks,
         );
-        csv.row(&[
-            name.clone(),
-            table.sets.to_string(),
-            table.ways.to_string(),
-            max_count.to_string(),
-            table.entries().to_string(),
-            format!("{ipc_norm:.4}"),
-            format!("{gap_closed:.1}"),
-            format!("{filter_rate:.4}"),
-            filter.false_positive_hits.to_string(),
-            filter.saturation_fallbacks.to_string(),
-        ]);
         knee_points.push(KneePoint {
             name: name.clone(),
             entries: table.entries(),
@@ -187,10 +162,6 @@ fn main() {
         100.0 * b.metric,
     );
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = FilterSweepReport {
         artifact: spec.artifact.to_string(),
         baseline: b.name.clone(),

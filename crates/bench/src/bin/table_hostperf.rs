@@ -10,14 +10,16 @@
 //! The report's `stats_fingerprint` hashes every cell's host-independent
 //! `SimStats`, making the binary double as a behaviour gate: any change to
 //! any architectural statistic on any (kernel, backend) pair changes the
-//! fingerprint. With `--check`, the matrix is replayed on a single worker
-//! and the run fails unless both fingerprints agree (the jobs=N ≡ jobs=1
-//! determinism property); `scripts/tier1.sh` greps the resulting
+//! fingerprint. With `--check`, the run fails unless the fingerprint
+//! equals the one in the committed `BENCH_hostperf.json` (when that report
+//! was made at the same scale), and the matrix is replayed on a single
+//! worker and the run fails unless both fingerprints agree (the jobs=N ≡
+//! jobs=1 determinism property); `scripts/tier1.sh` greps the resulting
 //! `hostperf: ACCEPT` acceptance line.
 
 use aim_bench::{
     csv_path_from_args, fingerprint_stats, has_flag, jobs_from_args, rule, run_matrix,
-    run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint, CsvTable,
+    run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint,
     HostperfReport, Report,
 };
 
@@ -28,6 +30,8 @@ fn main() {
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
     let report = HostperfReport::from_matrix(scale, jobs, wall, &spec.configs, &matrix);
+    // Read the committed report before this run's report can replace it.
+    let committed = HostperfReport::committed_header();
 
     println!(
         "Host throughput — {} kernels at --scale {}, all backends on both machine classes",
@@ -40,16 +44,6 @@ fn main() {
         "config", "machine", "sim kcycles", "retired k", "kcycles/s", "MIPS"
     );
     rule(78);
-    let mut csv = CsvTable::new(&[
-        "config",
-        "machine",
-        "backend",
-        "sim_cycles",
-        "retired",
-        "host_seconds",
-        "kcycles_per_sec",
-        "retired_mips",
-    ]);
     for row in &report.rows {
         println!(
             "{:<18} {:>10} | {:>12} {:>10} | {:>12.1} {:>8.3}",
@@ -60,23 +54,13 @@ fn main() {
             row.kcycles_per_sec,
             row.retired_mips,
         );
-        csv.row(&[
-            row.config.clone(),
-            row.machine.clone(),
-            row.backend.clone(),
-            row.sim_cycles.to_string(),
-            row.retired.to_string(),
-            format!("{:.6}", row.host_seconds),
-            format!("{:.1}", row.kcycles_per_sec),
-            format!("{:.3}", row.retired_mips),
-        ]);
     }
     rule(78);
+
     if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
+        std::fs::write(&path, report.to_csv()).expect("write csv");
         println!("wrote {path}");
     }
-
     match report.write_default() {
         Ok(path) => println!(
             "hostperf: {} cells in {:.2}s on {} job(s) — {path}",
@@ -93,6 +77,23 @@ fn main() {
     // core of a MultiMachine and require the same fingerprint again — the
     // multi-core refactor's N=1 contract, checked over the full matrix.
     let verdict = if has_flag("--check") {
+        let path = HostperfReport::DEFAULT_PATH;
+        let ours = format!("{:#018x}", report.stats_fingerprint);
+        let theirs = committed.as_ref().and_then(|h| {
+            let same_scale = h.str_field("scale") == Some(scale.to_string().as_str());
+            same_scale.then(|| h.str_field("stats_fingerprint")).flatten()
+        });
+        match theirs {
+            Some(theirs) if theirs != ours => {
+                println!(
+                    "hostperf: REJECT — fingerprint {ours} != committed {path} fingerprint \
+                     {theirs} at scale {scale}"
+                );
+                std::process::exit(1);
+            }
+            Some(_) => println!("hostperf: fingerprint matches the committed {path} ({ours})"),
+            None => println!("hostperf: no committed {path} at scale {scale} to compare with"),
+        }
         let serial = run_matrix(&prepared, &spec.configs, 1);
         let replay = stats_fingerprint(&serial);
         if replay != report.stats_fingerprint {

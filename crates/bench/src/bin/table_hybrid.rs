@@ -26,8 +26,8 @@
 //! host-throughput `SweepReport`.
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
-    suite_means, CsvTable, HybridReport, HybridRow, Report, SweepReport,
+    jobs_from_args, rule, run_matrix_timed, scale_from_args, specs, suite_means, HybridReport,
+    HybridRow, Report, SweepReport,
 };
 use aim_pipeline::SimStats;
 
@@ -75,18 +75,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut bracket_misses = Vec::new();
     let mut rate_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "benchmark",
-        "suite",
-        "lsq_ipc",
-        "nospec_norm",
-        "filtered_norm",
-        "sfc_mdt_norm",
-        "oracle_norm",
-        "gap_closed",
-        "filter_rate",
-        "mdt_filter_rate",
-    ]);
     for (w, p) in prepared.iter().enumerate() {
         let lsq = matrix.get(w, i_lsq);
         let filt_stats = matrix.get(w, i_filt);
@@ -124,18 +112,6 @@ fn main() {
         filt_rows.push((p.suite, filtered));
         oracle_rows.push((p.suite, oracle));
         let suite = p.suite.to_string();
-        csv.row(&[
-            p.name.to_string(),
-            suite.to_string(),
-            format!("{:.4}", lsq.ipc()),
-            format!("{nospec:.4}"),
-            format!("{filtered:.4}"),
-            format!("{sfc:.4}"),
-            format!("{oracle:.4}"),
-            format!("{closed:.1}"),
-            format!("{filter_rate:.4}"),
-            format!("{mdt_rate:.4}"),
-        ]);
         rows.push(HybridRow {
             workload: p.name.to_string(),
             suite: suite.to_string(),
@@ -180,10 +156,6 @@ fn main() {
         "fp avg", "", "", ns_fp, fl_fp, "", or_fp
     );
     rule(98);
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
 
     let report = HybridReport {
         artifact: spec.artifact.to_string(),

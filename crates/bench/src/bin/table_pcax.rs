@@ -20,8 +20,8 @@
 //! host-throughput `SweepReport`.
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
-    suite_means, CsvTable, PcaxReport, PcaxRow, Report, SweepReport,
+    jobs_from_args, rule, run_matrix_timed, scale_from_args, specs, suite_means, PcaxReport,
+    PcaxRow, Report, SweepReport,
 };
 
 fn main() {
@@ -53,18 +53,6 @@ fn main() {
     let mut oracle_rows = Vec::new();
     let mut rows = Vec::new();
     let mut bracket_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "benchmark",
-        "suite",
-        "lsq_ipc",
-        "nospec_norm",
-        "pcax_norm",
-        "sfc_mdt_norm",
-        "oracle_norm",
-        "gap_closed",
-        "coverage",
-        "accuracy",
-    ]);
     for (w, p) in prepared.iter().enumerate() {
         let lsq = matrix.get(w, i_lsq);
         let pcax_stats = matrix.get(w, i_pcax);
@@ -98,18 +86,6 @@ fn main() {
         pcax_rows.push((p.suite, pcax));
         oracle_rows.push((p.suite, oracle));
         let suite = p.suite.to_string();
-        csv.row(&[
-            p.name.to_string(),
-            suite.to_string(),
-            format!("{:.4}", lsq.ipc()),
-            format!("{nospec:.4}"),
-            format!("{pcax:.4}"),
-            format!("{sfc:.4}"),
-            format!("{oracle:.4}"),
-            format!("{closed:.1}"),
-            format!("{:.4}", pred.coverage()),
-            format!("{:.4}", pred.accuracy()),
-        ]);
         rows.push(PcaxRow {
             workload: p.name.to_string(),
             suite: suite.to_string(),
@@ -155,10 +131,6 @@ fn main() {
         "fp avg", "", "", ns_fp, px_fp, "", or_fp
     );
     rule(100);
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
 
     let report = PcaxReport {
         artifact: spec.artifact.to_string(),

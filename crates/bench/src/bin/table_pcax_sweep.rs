@@ -19,9 +19,8 @@
 //! or the full sets × ways × threshold study.
 
 use aim_bench::{
-    csv_path_from_args, find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed,
-    scale_from_args, specs, CsvTable, KneePoint, PcaxSweepReport, PcaxSweepRow, Report,
-    SweepReport,
+    find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args,
+    specs, KneePoint, PcaxSweepReport, PcaxSweepRow, Report, SweepReport,
 };
 use aim_pipeline::PcaxPredStats;
 use aim_types::geomean;
@@ -79,17 +78,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut knee_points = Vec::new();
     let mut bracket_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "point",
-        "sets",
-        "ways",
-        "threshold",
-        "entries",
-        "ipc_norm",
-        "gap_closed",
-        "coverage",
-        "accuracy",
-    ]);
     for (p, &(table, threshold)) in points.iter().enumerate() {
         let c = first_point + p;
         let name = &spec.configs[c].0;
@@ -137,17 +125,6 @@ fn main() {
             100.0 * pred.accuracy(),
             pred.sfc_probes_skipped,
         );
-        csv.row(&[
-            name.clone(),
-            table.sets.to_string(),
-            table.ways.to_string(),
-            threshold.to_string(),
-            table.entries().to_string(),
-            format!("{ipc_norm:.4}"),
-            format!("{gap_closed:.1}"),
-            format!("{:.4}", pred.coverage()),
-            format!("{:.4}", pred.accuracy()),
-        ]);
         knee_points.push(KneePoint {
             name: name.clone(),
             entries: table.entries(),
@@ -182,10 +159,6 @@ fn main() {
         100.0 * b.metric,
     );
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = PcaxSweepReport {
         artifact: spec.artifact.to_string(),
         baseline: b.name.clone(),

@@ -34,7 +34,7 @@ use core::fmt;
 /// architectural statistic anywhere in the simulator (the same commits
 /// that change the `table_hostperf` stats fingerprint); stale entries are
 /// then simply never found, which is the only safe failure mode.
-pub const CODE_VERSION: &str = "aim-sim-2026-08/1";
+pub const CODE_VERSION: &str = "aim-sim-2026-10/2";
 
 /// A 128-bit content address: two independent FNV-1a streams over the same
 /// key text. One 64-bit hash leaves accidental collisions plausible over
@@ -79,8 +79,9 @@ pub fn program_text(program: &Program) -> String {
     format!("{program:?}")
 }
 
-/// The canonical text of a configuration: the `Debug` rendering of the
-/// config with its observability knobs normalized to their defaults.
+/// The canonical text of a configuration: the derived `Debug` rendering
+/// of the config with its observability knobs normalized to their
+/// defaults. The text is only ever hashed, never parsed back.
 /// Everything else — machine width and window, backend family and every
 /// structure geometry, predictor mode, cache hierarchy, recovery policies,
 /// seeds, instruction budget — stays in the text, so flipping any of them

@@ -35,46 +35,48 @@ use crate::Report;
 use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
-/// One (workload × machine class × far latency) cell of the far-memory
-/// sweep, with every backend's IPC normalized to the cell's 256×256 LSQ.
-#[derive(Debug, Clone)]
-pub struct FarMemRow {
-    /// Workload name.
-    pub workload: String,
-    /// Suite membership (`int` or `fp`).
-    pub suite: String,
-    /// Machine-class tag (`aggr` or `huge`).
-    pub machine: String,
-    /// ROB entries of the machine class (the window size swept).
-    pub window: u64,
-    /// Far-tier latency in cycles.
-    pub far_latency: u64,
-    /// Absolute IPC of the 256×256 LSQ (the normalization base).
-    pub lsq_ipc: f64,
-    /// No-speculation IPC, normalized to `lsq_ipc`.
-    pub nospec_norm: f64,
-    /// The buildable 120×80 CAM (the Figure 4 aggressive LSQ), normalized.
-    pub cam_norm: f64,
-    /// SFC/MDT IPC, normalized.
-    pub sfc_mdt_norm: f64,
-    /// PCAX IPC, normalized.
-    pub pcax_norm: f64,
-    /// Oracle IPC, normalized.
-    pub oracle_norm: f64,
-    /// Percent of the no-spec → oracle gap the 120×80 CAM closes.
-    pub cam_gap_closed: f64,
-    /// Percent of the gap the SFC/MDT closes.
-    pub sfc_gap_closed: f64,
-    /// Percent of the gap PCAX closes.
-    pub pcax_gap_closed: f64,
-    /// Far-tier line fetches (SFC/MDT column's run).
-    pub far_accesses: u64,
-    /// Far accesses folded onto an already-in-flight miss.
-    pub far_coalesced: u64,
-    /// Never-refuse accesses pushed past the MSHR bound.
-    pub far_overflow: u64,
-    /// Peak simultaneously in-flight far misses.
-    pub far_peak_inflight: u64,
+aim_types::record! {
+    /// One (workload × machine class × far latency) cell of the far-memory
+    /// sweep, with every backend's IPC normalized to the cell's 256×256 LSQ.
+    #[derive(Debug, Clone)]
+    pub struct FarMemRow {
+        /// Workload name.
+        pub workload: String,
+        /// Suite membership (`int` or `fp`).
+        pub suite: String,
+        /// Machine-class tag (`aggr` or `huge`).
+        pub machine: String,
+        /// ROB entries of the machine class (the window size swept).
+        pub window: u64,
+        /// Far-tier latency in cycles.
+        pub far_latency: u64,
+        /// Absolute IPC of the 256×256 LSQ (the normalization base).
+        pub lsq_ipc: f64,
+        /// No-speculation IPC, normalized to `lsq_ipc`.
+        pub nospec_norm: f64,
+        /// The buildable 120×80 CAM (the Figure 4 aggressive LSQ), normalized.
+        pub cam_norm: f64,
+        /// SFC/MDT IPC, normalized.
+        pub sfc_mdt_norm: f64,
+        /// PCAX IPC, normalized.
+        pub pcax_norm: f64,
+        /// Oracle IPC, normalized.
+        pub oracle_norm: f64,
+        /// Percent of the no-spec → oracle gap the 120×80 CAM closes.
+        pub cam_gap_closed: f64,
+        /// Percent of the gap the SFC/MDT closes.
+        pub sfc_gap_closed: f64,
+        /// Percent of the gap PCAX closes.
+        pub pcax_gap_closed: f64,
+        /// Far-tier line fetches (SFC/MDT column's run).
+        pub far_accesses: u64,
+        /// Far accesses folded onto an already-in-flight miss.
+        pub far_coalesced: u64,
+        /// Never-refuse accesses pushed past the MSHR bound.
+        pub far_overflow: u64,
+        /// Peak simultaneously in-flight far misses.
+        pub far_peak_inflight: u64,
+    }
 }
 
 /// The full far-memory sweep: serve-cache routing counters plus one row
@@ -114,26 +116,5 @@ impl Report for FarMemReport {
 
     fn rows(&self) -> &[FarMemRow] {
         &self.rows
-    }
-
-    fn row(r: &FarMemRow, msg: &mut WireMsg) {
-        msg.put_str("workload", &r.workload)
-            .put_str("suite", &r.suite)
-            .put_str("machine", &r.machine)
-            .put_u64("window", r.window)
-            .put_u64("far_latency", r.far_latency)
-            .put_f64("lsq_ipc", r.lsq_ipc)
-            .put_f64("nospec_norm", r.nospec_norm)
-            .put_f64("cam_norm", r.cam_norm)
-            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
-            .put_f64("pcax_norm", r.pcax_norm)
-            .put_f64("oracle_norm", r.oracle_norm)
-            .put_f64("cam_gap_closed", r.cam_gap_closed)
-            .put_f64("sfc_gap_closed", r.sfc_gap_closed)
-            .put_f64("pcax_gap_closed", r.pcax_gap_closed)
-            .put_u64("far_accesses", r.far_accesses)
-            .put_u64("far_coalesced", r.far_coalesced)
-            .put_u64("far_overflow", r.far_overflow)
-            .put_u64("far_peak_inflight", r.far_peak_inflight);
     }
 }

@@ -134,29 +134,31 @@ pub fn find_knee(points: &[KneePoint], baseline_knob: u32, tolerance: f64) -> Kn
     Knee { baseline, knee }
 }
 
-/// One geometry point of the PCAX sweep.
-#[derive(Debug, Clone, Default)]
-pub struct PcaxSweepRow {
-    /// Point name (`setsxways@t<threshold>`).
-    pub point: String,
-    /// PC-table sets.
-    pub sets: usize,
-    /// PC-table ways.
-    pub ways: usize,
-    /// The `no_alias_act` acting threshold at this point.
-    pub threshold: u32,
-    /// Table capacity in entries.
-    pub entries: usize,
-    /// Geomean over kernels of PCAX IPC normalized to the 48×32 LSQ.
-    pub ipc_norm: f64,
-    /// Percent of the no-spec → oracle gap closed (from the geomeans).
-    pub gap_closed: f64,
-    /// Aggregate prediction coverage (summed counters over all kernels).
-    pub coverage: f64,
-    /// Aggregate prediction accuracy (summed counters over all kernels).
-    pub accuracy: f64,
-    /// Total SFC probes skipped by acted-on no-alias predictions.
-    pub sfc_probes_skipped: u64,
+aim_types::record! {
+    /// One geometry point of the PCAX sweep.
+    #[derive(Debug, Clone, Default)]
+    pub struct PcaxSweepRow {
+        /// Point name (`setsxways@t<threshold>`).
+        pub point: String,
+        /// PC-table sets.
+        pub sets: usize,
+        /// PC-table ways.
+        pub ways: usize,
+        /// The `no_alias_act` acting threshold at this point.
+        pub threshold: u32,
+        /// Table capacity in entries.
+        pub entries: usize,
+        /// Geomean over kernels of PCAX IPC normalized to the 48×32 LSQ.
+        pub ipc_norm: f64,
+        /// Percent of the no-spec → oracle gap closed (from the geomeans).
+        pub gap_closed: f64,
+        /// Aggregate prediction coverage (summed counters over all kernels).
+        pub coverage: f64,
+        /// Aggregate prediction accuracy (summed counters over all kernels).
+        pub accuracy: f64,
+        /// Total SFC probes skipped by acted-on no-alias predictions.
+        pub sfc_probes_skipped: u64,
+    }
 }
 
 /// The PCAX geometry sweep (`aim-pcax-sweep/v1`).
@@ -187,45 +189,34 @@ impl Report for PcaxSweepReport {
     fn rows(&self) -> &[PcaxSweepRow] {
         &self.rows
     }
-
-    fn row(r: &PcaxSweepRow, msg: &mut WireMsg) {
-        msg.put_str("point", &r.point)
-            .put_u64("sets", r.sets as u64)
-            .put_u64("ways", r.ways as u64)
-            .put_u64("threshold", r.threshold as u64)
-            .put_u64("entries", r.entries as u64)
-            .put_f64("ipc_norm", r.ipc_norm)
-            .put_f64("gap_closed", r.gap_closed)
-            .put_f64("coverage", r.coverage)
-            .put_f64("accuracy", r.accuracy)
-            .put_u64("sfc_probes_skipped", r.sfc_probes_skipped);
-    }
 }
 
-/// One geometry point of the filter sweep.
-#[derive(Debug, Clone, Default)]
-pub struct FilterSweepRow {
-    /// Point name (`setsxways@c<max_count>`).
-    pub point: String,
-    /// Filter sets.
-    pub sets: usize,
-    /// Filter ways.
-    pub ways: usize,
-    /// Counter saturation point at this point.
-    pub max_count: u32,
-    /// Table capacity in entries.
-    pub entries: usize,
-    /// Geomean over kernels of filtered-LSQ IPC normalized to the 48×32 LSQ.
-    pub ipc_norm: f64,
-    /// Percent of the no-spec → oracle gap closed (from the geomeans).
-    pub gap_closed: f64,
-    /// Fraction of loads whose CAM search the filter elided (summed
-    /// counters over all kernels).
-    pub filter_rate: f64,
-    /// Total searches forced by word-aliasing false positives.
-    pub false_positive_hits: u64,
-    /// Total conservative fallbacks from saturated counters.
-    pub saturation_fallbacks: u64,
+aim_types::record! {
+    /// One geometry point of the filter sweep.
+    #[derive(Debug, Clone, Default)]
+    pub struct FilterSweepRow {
+        /// Point name (`setsxways@c<max_count>`).
+        pub point: String,
+        /// Filter sets.
+        pub sets: usize,
+        /// Filter ways.
+        pub ways: usize,
+        /// Counter saturation point at this point.
+        pub max_count: u32,
+        /// Table capacity in entries.
+        pub entries: usize,
+        /// Geomean over kernels of filtered-LSQ IPC normalized to the 48×32 LSQ.
+        pub ipc_norm: f64,
+        /// Percent of the no-spec → oracle gap closed (from the geomeans).
+        pub gap_closed: f64,
+        /// Fraction of loads whose CAM search the filter elided (summed
+        /// counters over all kernels).
+        pub filter_rate: f64,
+        /// Total searches forced by word-aliasing false positives.
+        pub false_positive_hits: u64,
+        /// Total conservative fallbacks from saturated counters.
+        pub saturation_fallbacks: u64,
+    }
 }
 
 /// The filter geometry sweep (`aim-filter-sweep/v1`).
@@ -255,19 +246,6 @@ impl Report for FilterSweepReport {
 
     fn rows(&self) -> &[FilterSweepRow] {
         &self.rows
-    }
-
-    fn row(r: &FilterSweepRow, msg: &mut WireMsg) {
-        msg.put_str("point", &r.point)
-            .put_u64("sets", r.sets as u64)
-            .put_u64("ways", r.ways as u64)
-            .put_u64("max_count", r.max_count as u64)
-            .put_u64("entries", r.entries as u64)
-            .put_f64("ipc_norm", r.ipc_norm)
-            .put_f64("gap_closed", r.gap_closed)
-            .put_f64("filter_rate", r.filter_rate)
-            .put_u64("false_positive_hits", r.false_positive_hits)
-            .put_u64("saturation_fallbacks", r.saturation_fallbacks);
     }
 }
 

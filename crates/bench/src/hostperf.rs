@@ -7,15 +7,18 @@
 //! ("did the SoA table rewrite actually speed up the SFC/MDT cycle loop?").
 //!
 //! The report doubles as a **differential gate**: it carries an FNV-1a
-//! fingerprint over every cell's host-independent [`SimStats`] (workload-
-//! major, `Debug`-rendered with the wall clock zeroed). Any change to any
+//! fingerprint over every cell's host-independent [`SimStats`] record
+//! (workload-major, each cell's [`stats_text`]). Any change to any
 //! architectural statistic — cycle counts, violation counts, occupancy
 //! peaks — anywhere in the (kernel × backend) matrix changes the
 //! fingerprint, so a perf refactor that claims to be behaviour-preserving
 //! can be checked with one word. `scripts/tier1.sh` runs the
-//! `table_hostperf` binary's `--check` mode, which replays the matrix on a
-//! single worker and rejects if the fingerprints diverge (jobs=N ≡ jobs=1
-//! determinism).
+//! `table_hostperf` binary's `--check` mode, which rejects when the
+//! fingerprint differs from the committed `BENCH_hostperf.json` at the
+//! same scale, and replays the matrix on a single worker and rejects if
+//! the fingerprints diverge (jobs=N ≡ jobs=1 determinism).
+//!
+//! [`SimStats`]: aim_pipeline::SimStats
 //!
 //! Emitted JSON (`aim-hostperf-report/v1`, through the shared [`Report`]
 //! writer):
@@ -45,28 +48,31 @@
 
 use crate::{Matrix, Report};
 use aim_pipeline::SimConfig;
+use aim_types::record::Record;
 use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
-/// One backend × machine-class row, aggregated over every workload.
-#[derive(Debug, Clone, Default)]
-pub struct HostperfRow {
-    /// Configuration name (`base-…` / `aggr-…`).
-    pub config: String,
-    /// Machine class (`baseline` / `aggressive`), from the config prefix.
-    pub machine: String,
-    /// Backend label (the config name minus the machine prefix).
-    pub backend: String,
-    /// Total simulated cycles over all workloads.
-    pub sim_cycles: u64,
-    /// Total retired (simulated) instructions over all workloads.
-    pub retired: u64,
-    /// Total host wall-clock seconds in the cycle loop over all workloads.
-    pub host_seconds: f64,
-    /// Aggregate simulated kilocycles per host second.
-    pub kcycles_per_sec: f64,
-    /// Aggregate retired simulated MIPS.
-    pub retired_mips: f64,
+aim_types::record! {
+    /// One backend × machine-class row, aggregated over every workload.
+    #[derive(Debug, Clone, Default)]
+    pub struct HostperfRow {
+        /// Configuration name (`base-…` / `aggr-…`).
+        pub config: String,
+        /// Machine class (`baseline` / `aggressive`), from the config prefix.
+        pub machine: String,
+        /// Backend label (the config name minus the machine prefix).
+        pub backend: String,
+        /// Total simulated cycles over all workloads.
+        pub sim_cycles: u64,
+        /// Total retired (simulated) instructions over all workloads.
+        pub retired: u64,
+        /// Total host wall-clock seconds in the cycle loop over all workloads.
+        pub host_seconds: f64,
+        /// Aggregate simulated kilocycles per host second.
+        pub kcycles_per_sec: f64,
+        /// Aggregate retired simulated MIPS.
+        pub retired_mips: f64,
+    }
 }
 
 /// The per-backend host-throughput report.
@@ -84,28 +90,32 @@ pub struct HostperfReport {
     pub rows: Vec<HostperfRow>,
 }
 
-/// FNV-1a over the `Debug` rendering of each statistics record with its
-/// host-dependent [`HostPerf`](aim_pipeline::HostPerf) fields zeroed: one
-/// word that changes iff *any* architectural statistic changes anywhere in
-/// the sequence. The order of the iterator matters — callers hashing the
-/// same cells must present them in the same order.
+/// The canonical statistics text of a run: the flat JSON of its
+/// [`SimStats`](aim_pipeline::SimStats) record with the host-dependent
+/// [`HostPerf`](aim_pipeline::HostPerf) fields zeroed. Single line by
+/// construction, and read back losslessly by
+/// [`Record::read`](aim_types::record::Record::read) — the text the
+/// `aim-serve` result cache stores and every stats fingerprint hashes.
+pub fn stats_text(stats: &aim_pipeline::SimStats) -> String {
+    stats.with_zeroed_host().write().to_json()
+}
+
+/// FNV-1a over the [`stats_text`] of each statistics record: one word
+/// that changes iff *any* architectural statistic changes anywhere in the
+/// sequence. The order of the iterator matters — callers hashing the same
+/// cells must present them in the same order.
 pub fn fingerprint_stats<'a, I>(stats: I) -> u64
 where
     I: IntoIterator<Item = &'a aim_pipeline::SimStats>,
 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hash = FNV_OFFSET;
-    for s in stats {
-        hash = crate::cache_key::fnv1a(hash, format!("{:?}", s.with_zeroed_host()).bytes());
-    }
-    hash
+    let texts: Vec<String> = stats.into_iter().map(stats_text).collect();
+    fingerprint_texts(texts.iter().map(String::as_str))
 }
 
-/// The fingerprint of one already-rendered statistics text (the
-/// `Debug`-with-zeroed-host form [`fingerprint_stats`] hashes). For a
-/// single record, `fingerprint_text(&format!("{:?}", s.with_zeroed_host()))
-/// == fingerprint_stats([&s])` — the identity the `aim-serve` result cache
-/// relies on to re-fingerprint a cached entry without deserializing it.
+/// The fingerprint of one already-rendered [`stats_text`]. For a single
+/// record, `fingerprint_text(&stats_text(&s)) == fingerprint_stats([&s])`
+/// — the identity the `aim-serve` result cache relies on to re-fingerprint
+/// a cached entry without reading it back.
 pub fn fingerprint_text(text: &str) -> u64 {
     fingerprint_texts(std::iter::once(text))
 }
@@ -206,17 +216,6 @@ impl Report for HostperfReport {
 
     fn rows(&self) -> &[HostperfRow] {
         &self.rows
-    }
-
-    fn row(r: &HostperfRow, msg: &mut WireMsg) {
-        msg.put_str("config", &r.config)
-            .put_str("machine", &r.machine)
-            .put_str("backend", &r.backend)
-            .put_u64("sim_cycles", r.sim_cycles)
-            .put_u64("retired", r.retired)
-            .put_f64("host_seconds", r.host_seconds)
-            .put_f64("kcycles_per_sec", r.kcycles_per_sec)
-            .put_f64("retired_mips", r.retired_mips);
     }
 }
 

@@ -28,38 +28,40 @@
 use crate::Report;
 use aim_types::wire::WireMsg;
 
-/// One workload's row of the hybrid comparison.
-#[derive(Debug, Clone, Default)]
-pub struct HybridRow {
-    /// Workload name.
-    pub workload: String,
-    /// Suite membership (`int` or `fp`).
-    pub suite: String,
-    /// Absolute IPC of the plain 48×32 LSQ (the normalization base).
-    pub lsq_ipc: f64,
-    /// No-speculation IPC, normalized to `lsq_ipc`.
-    pub nospec_norm: f64,
-    /// Filtered-LSQ IPC, normalized to `lsq_ipc`.
-    pub filtered_norm: f64,
-    /// SFC/MDT (with the §4 MDT search filter) IPC, normalized.
-    pub sfc_mdt_norm: f64,
-    /// Oracle IPC, normalized.
-    pub oracle_norm: f64,
-    /// Percent of the no-spec → oracle gap the filtered LSQ closes.
-    pub gap_closed: f64,
-    /// Load lookups that skipped the SQ CAM entirely.
-    pub filtered_loads: u64,
-    /// Load lookups that paid the associative search.
-    pub searched_loads: u64,
-    /// `filtered_loads / (filtered_loads + searched_loads)`.
-    pub filter_rate: f64,
-    /// Filter hits whose CAM search then forwarded nothing.
-    pub false_positive_hits: u64,
-    /// Stores tracked conservatively after counter saturation.
-    pub saturation_fallbacks: u64,
-    /// The §4 MDT filter's skip fraction on the same workload
-    /// (`mdt_filtered_loads / (mdt_filtered_loads + load_checks)`).
-    pub mdt_filter_rate: f64,
+aim_types::record! {
+    /// One workload's row of the hybrid comparison.
+    #[derive(Debug, Clone, Default)]
+    pub struct HybridRow {
+        /// Workload name.
+        pub workload: String,
+        /// Suite membership (`int` or `fp`).
+        pub suite: String,
+        /// Absolute IPC of the plain 48×32 LSQ (the normalization base).
+        pub lsq_ipc: f64,
+        /// No-speculation IPC, normalized to `lsq_ipc`.
+        pub nospec_norm: f64,
+        /// Filtered-LSQ IPC, normalized to `lsq_ipc`.
+        pub filtered_norm: f64,
+        /// SFC/MDT (with the §4 MDT search filter) IPC, normalized.
+        pub sfc_mdt_norm: f64,
+        /// Oracle IPC, normalized.
+        pub oracle_norm: f64,
+        /// Percent of the no-spec → oracle gap the filtered LSQ closes.
+        pub gap_closed: f64,
+        /// Load lookups that skipped the SQ CAM entirely.
+        pub filtered_loads: u64,
+        /// Load lookups that paid the associative search.
+        pub searched_loads: u64,
+        /// `filtered_loads / (filtered_loads + searched_loads)`.
+        pub filter_rate: f64,
+        /// Filter hits whose CAM search then forwarded nothing.
+        pub false_positive_hits: u64,
+        /// Stores tracked conservatively after counter saturation.
+        pub saturation_fallbacks: u64,
+        /// The §4 MDT filter's skip fraction on the same workload
+        /// (`mdt_filtered_loads / (mdt_filtered_loads + load_checks)`).
+        pub mdt_filter_rate: f64,
+    }
 }
 
 /// The full hybrid comparison, one row per workload.
@@ -83,23 +85,6 @@ impl Report for HybridReport {
 
     fn rows(&self) -> &[HybridRow] {
         &self.rows
-    }
-
-    fn row(r: &HybridRow, msg: &mut WireMsg) {
-        msg.put_str("workload", &r.workload)
-            .put_str("suite", &r.suite)
-            .put_f64("lsq_ipc", r.lsq_ipc)
-            .put_f64("nospec_norm", r.nospec_norm)
-            .put_f64("filtered_norm", r.filtered_norm)
-            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
-            .put_f64("oracle_norm", r.oracle_norm)
-            .put_f64("gap_closed", r.gap_closed)
-            .put_u64("filtered_loads", r.filtered_loads)
-            .put_u64("searched_loads", r.searched_loads)
-            .put_f64("filter_rate", r.filter_rate)
-            .put_u64("false_positive_hits", r.false_positive_hits)
-            .put_u64("saturation_fallbacks", r.saturation_fallbacks)
-            .put_f64("mdt_filter_rate", r.mdt_filter_rate);
     }
 }
 

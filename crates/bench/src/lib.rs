@@ -59,8 +59,8 @@ pub use geometry_sweep::{
     KneePoint, PcaxSweepReport, PcaxSweepRow,
 };
 pub use hostperf::{
-    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint, HostperfReport,
-    HostperfRow,
+    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint, stats_text,
+    HostperfReport, HostperfRow,
 };
 pub use hybrid::{HybridReport, HybridRow};
 pub use litmus::{litmus_outcomes, LitmusReport, LitmusRow};
@@ -68,7 +68,7 @@ pub use matrix::{run_matrix, run_matrix_timed, Matrix};
 pub use pcax::{PcaxReport, PcaxRow};
 pub use report::Report;
 pub use sampled::{SampledReport, SampledRow};
-pub use serve_report::{ServeReport, ServeRound};
+pub use serve_report::{ServeCounters, ServeReport, ServeRound};
 pub use sweep::{SweepReport, SweepRow};
 
 /// A workload with its golden trace precomputed (reused across configs).
@@ -124,8 +124,18 @@ pub fn prepare(w: Workload, scale: Scale) -> Prepared {
 /// Panics on validation or deadlock errors — the harness treats simulator
 /// failures as fatal.
 pub fn run(p: &Prepared, cfg: &SimConfig) -> SimStats {
+    try_run(p, cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run`] with a simulator failure (validation or deadlock) returned as
+/// a one-line message naming the kernel and backend.
+///
+/// # Errors
+///
+/// Returns the [`SimError`](aim_pipeline::SimError) with that context.
+pub fn try_run(p: &Prepared, cfg: &SimConfig) -> Result<SimStats, String> {
     simulate_with_trace(&p.program, &p.trace, cfg)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", p.name, cfg.backend.name()))
+        .map_err(|e| format!("{} under {}: {e}", p.name, cfg.backend.name()))
 }
 
 /// Runs a prepared workload under `cfg` as the sole core of a

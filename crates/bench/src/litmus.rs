@@ -61,19 +61,21 @@ pub fn litmus_outcomes(
         .collect()
 }
 
-/// One (litmus test, backend) cell of the report.
-#[derive(Debug, Clone)]
-pub struct LitmusRow {
-    /// Litmus test name (`SB`, `SB+fwd`, `MP`, `MP+fwd`, `LB`, `IRIW`).
-    pub test: String,
-    /// Backend token (`nospec` … `oracle`).
-    pub backend: String,
-    /// Distinct outcomes the reference model allows.
-    pub allowed_outcomes: usize,
-    /// Distinct outcomes the machine produced across all schedules.
-    pub observed_outcomes: usize,
-    /// Whether every produced outcome was reference-allowed.
-    pub contained: bool,
+aim_types::record! {
+    /// One (litmus test, backend) cell of the report.
+    #[derive(Debug, Clone)]
+    pub struct LitmusRow {
+        /// Litmus test name (`SB`, `SB+fwd`, `MP`, `MP+fwd`, `LB`, `IRIW`).
+        pub test: String,
+        /// Backend token (`nospec` … `oracle`).
+        pub backend: String,
+        /// Distinct outcomes the reference model allows.
+        pub allowed_outcomes: usize,
+        /// Distinct outcomes the machine produced across all schedules.
+        pub observed_outcomes: usize,
+        /// Whether every produced outcome was reference-allowed.
+        pub contained: bool,
+    }
 }
 
 /// The litmus containment report.
@@ -154,14 +156,6 @@ impl Report for LitmusReport {
 
     fn rows(&self) -> &[LitmusRow] {
         &self.rows
-    }
-
-    fn row(row: &LitmusRow, msg: &mut WireMsg) {
-        msg.put_str("test", &row.test)
-            .put_str("backend", &row.backend)
-            .put_u64("allowed_outcomes", row.allowed_outcomes as u64)
-            .put_u64("observed_outcomes", row.observed_outcomes as u64)
-            .put_bool("contained", row.contained);
     }
 }
 

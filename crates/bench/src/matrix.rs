@@ -24,6 +24,12 @@ pub struct Matrix {
 }
 
 impl Matrix {
+    /// A matrix over already-computed cells, in the same workload-major
+    /// order (how a served sweep's results take this shape).
+    pub fn from_cells(n_configs: usize, cells: Vec<SimStats>) -> Matrix {
+        Matrix { n_configs, cells }
+    }
+
     /// Number of configurations per workload.
     pub fn n_configs(&self) -> usize {
         self.n_configs

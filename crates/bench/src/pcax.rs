@@ -27,39 +27,41 @@
 use crate::Report;
 use aim_types::wire::WireMsg;
 
-/// One workload's row of the PCAX comparison.
-#[derive(Debug, Clone, Default)]
-pub struct PcaxRow {
-    /// Workload name.
-    pub workload: String,
-    /// Suite membership (`int` or `fp`).
-    pub suite: String,
-    /// Absolute IPC of the plain 48×32 LSQ (the normalization base).
-    pub lsq_ipc: f64,
-    /// No-speculation IPC, normalized to `lsq_ipc`.
-    pub nospec_norm: f64,
-    /// PCAX IPC, normalized to `lsq_ipc`.
-    pub pcax_norm: f64,
-    /// Plain SFC/MDT IPC, normalized.
-    pub sfc_mdt_norm: f64,
-    /// Oracle IPC, normalized.
-    pub oracle_norm: f64,
-    /// Percent of the no-spec → oracle gap PCAX closes.
-    pub gap_closed: f64,
-    /// Loads dispatched under a no-alias prediction.
-    pub loads_no_alias: u64,
-    /// Loads dispatched under a predicted-forward prediction.
-    pub loads_forward: u64,
-    /// Loads dispatched unclassified (full SFC + MDT path).
-    pub loads_unknown: u64,
-    /// Fraction of classified loads carrying a prediction.
-    pub coverage: f64,
-    /// Fraction of resolved predictions that were correct.
-    pub accuracy: f64,
-    /// SFC probes the no-alias prediction skipped outright.
-    pub sfc_probes_skipped: u64,
-    /// Replays spent waiting on a predicted producer store.
-    pub forward_wait_replays: u64,
+aim_types::record! {
+    /// One workload's row of the PCAX comparison.
+    #[derive(Debug, Clone, Default)]
+    pub struct PcaxRow {
+        /// Workload name.
+        pub workload: String,
+        /// Suite membership (`int` or `fp`).
+        pub suite: String,
+        /// Absolute IPC of the plain 48×32 LSQ (the normalization base).
+        pub lsq_ipc: f64,
+        /// No-speculation IPC, normalized to `lsq_ipc`.
+        pub nospec_norm: f64,
+        /// PCAX IPC, normalized to `lsq_ipc`.
+        pub pcax_norm: f64,
+        /// Plain SFC/MDT IPC, normalized.
+        pub sfc_mdt_norm: f64,
+        /// Oracle IPC, normalized.
+        pub oracle_norm: f64,
+        /// Percent of the no-spec → oracle gap PCAX closes.
+        pub gap_closed: f64,
+        /// Loads dispatched under a no-alias prediction.
+        pub loads_no_alias: u64,
+        /// Loads dispatched under a predicted-forward prediction.
+        pub loads_forward: u64,
+        /// Loads dispatched unclassified (full SFC + MDT path).
+        pub loads_unknown: u64,
+        /// Fraction of classified loads carrying a prediction.
+        pub coverage: f64,
+        /// Fraction of resolved predictions that were correct.
+        pub accuracy: f64,
+        /// SFC probes the no-alias prediction skipped outright.
+        pub sfc_probes_skipped: u64,
+        /// Replays spent waiting on a predicted producer store.
+        pub forward_wait_replays: u64,
+    }
 }
 
 /// The full PCAX comparison, one row per workload.
@@ -83,24 +85,6 @@ impl Report for PcaxReport {
 
     fn rows(&self) -> &[PcaxRow] {
         &self.rows
-    }
-
-    fn row(r: &PcaxRow, msg: &mut WireMsg) {
-        msg.put_str("workload", &r.workload)
-            .put_str("suite", &r.suite)
-            .put_f64("lsq_ipc", r.lsq_ipc)
-            .put_f64("nospec_norm", r.nospec_norm)
-            .put_f64("pcax_norm", r.pcax_norm)
-            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
-            .put_f64("oracle_norm", r.oracle_norm)
-            .put_f64("gap_closed", r.gap_closed)
-            .put_u64("loads_no_alias", r.loads_no_alias)
-            .put_u64("loads_forward", r.loads_forward)
-            .put_u64("loads_unknown", r.loads_unknown)
-            .put_f64("coverage", r.coverage)
-            .put_f64("accuracy", r.accuracy)
-            .put_u64("sfc_probes_skipped", r.sfc_probes_skipped)
-            .put_u64("forward_wait_replays", r.forward_wait_replays);
     }
 }
 

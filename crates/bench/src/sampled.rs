@@ -38,39 +38,41 @@ use crate::Report;
 use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
-/// One kernel of the sampled-convergence sweep: the full-detail truth,
-/// the sampled estimate, and the cost of each.
-#[derive(Debug, Clone)]
-pub struct SampledRow {
-    /// Workload name.
-    pub workload: String,
-    /// Suite membership (`int` or `fp`).
-    pub suite: String,
-    /// Dynamic instructions the kernel retires (the length the policy
-    /// tiles).
-    pub trace_len: u64,
-    /// Warm-up instructions per period of the policy.
-    pub warm_insts: u64,
-    /// Detailed instructions per period of the policy.
-    pub detail_insts: u64,
-    /// Periods the policy schedules.
-    pub periods: u32,
-    /// Full-detail IPC (the truth the estimate is judged against).
-    pub full_ipc: f64,
-    /// Extrapolated IPC of the sampled run.
-    pub sampled_ipc: f64,
-    /// Signed relative IPC error of the estimate, percent.
-    pub err_pct: f64,
-    /// Detailed windows the sampled run completed.
-    pub periods_run: u32,
-    /// Percent of retired instructions simulated cycle-accurately.
-    pub detail_pct: f64,
-    /// Wall-clock of the full-detail run, nanoseconds.
-    pub full_wall_ns: u64,
-    /// Wall-clock of the sampled run, nanoseconds.
-    pub sampled_wall_ns: u64,
-    /// Per-kernel wall-clock speedup (`full_wall_ns / sampled_wall_ns`).
-    pub speedup: f64,
+aim_types::record! {
+    /// One kernel of the sampled-convergence sweep: the full-detail truth,
+    /// the sampled estimate, and the cost of each.
+    #[derive(Debug, Clone)]
+    pub struct SampledRow {
+        /// Workload name.
+        pub workload: String,
+        /// Suite membership (`int` or `fp`).
+        pub suite: String,
+        /// Dynamic instructions the kernel retires (the length the policy
+        /// tiles).
+        pub trace_len: u64,
+        /// Warm-up instructions per period of the policy.
+        pub warm_insts: u64,
+        /// Detailed instructions per period of the policy.
+        pub detail_insts: u64,
+        /// Periods the policy schedules.
+        pub periods: u32,
+        /// Full-detail IPC (the truth the estimate is judged against).
+        pub full_ipc: f64,
+        /// Extrapolated IPC of the sampled run.
+        pub sampled_ipc: f64,
+        /// Signed relative IPC error of the estimate, percent.
+        pub err_pct: f64,
+        /// Detailed windows the sampled run completed.
+        pub periods_run: u32,
+        /// Percent of retired instructions simulated cycle-accurately.
+        pub detail_pct: f64,
+        /// Wall-clock of the full-detail run, nanoseconds.
+        pub full_wall_ns: u64,
+        /// Wall-clock of the sampled run, nanoseconds.
+        pub sampled_wall_ns: u64,
+        /// Per-kernel wall-clock speedup (`full_wall_ns / sampled_wall_ns`).
+        pub speedup: f64,
+    }
 }
 
 /// The full sampled-convergence sweep: serve-cache routing counters, the
@@ -128,22 +130,5 @@ impl Report for SampledReport {
 
     fn rows(&self) -> &[SampledRow] {
         &self.rows
-    }
-
-    fn row(r: &SampledRow, msg: &mut WireMsg) {
-        msg.put_str("workload", &r.workload)
-            .put_str("suite", &r.suite)
-            .put_u64("trace_len", r.trace_len)
-            .put_u64("warm_insts", r.warm_insts)
-            .put_u64("detail_insts", r.detail_insts)
-            .put_u64("periods", r.periods as u64)
-            .put_f64("full_ipc", r.full_ipc)
-            .put_f64("sampled_ipc", r.sampled_ipc)
-            .put_f64("err_pct", r.err_pct)
-            .put_u64("periods_run", r.periods_run as u64)
-            .put_f64("detail_pct", r.detail_pct)
-            .put_u64("full_wall_ns", r.full_wall_ns)
-            .put_u64("sampled_wall_ns", r.sampled_wall_ns)
-            .put_f64("speedup", r.speedup);
     }
 }

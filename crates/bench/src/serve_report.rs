@@ -35,23 +35,49 @@
 //! ```
 
 use crate::Report;
+use aim_types::record::Field;
 use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
-/// One replay round's aggregate outcome.
-#[derive(Debug, Clone)]
-pub struct ServeRound {
-    /// Round label (`cold`, `warm1`, `warm2`, …).
-    pub label: String,
-    /// Requests submitted this round.
-    pub cells: u64,
-    /// Wall-clock seconds for the round.
-    pub wall_seconds: f64,
-    /// Simulations actually executed during the round (0 for a healthy
-    /// warm round).
-    pub sims_run: u64,
-    /// Requests answered from the on-disk cache during the round.
-    pub cache_hits: u64,
+aim_types::record! {
+    /// One replay round's aggregate outcome.
+    #[derive(Debug, Clone)]
+    pub struct ServeRound {
+        /// Round label (`cold`, `warm1`, `warm2`, …).
+        pub label: String,
+        /// Requests submitted this round.
+        pub cells: u64,
+        /// Wall-clock seconds for the round.
+        pub wall_seconds: f64,
+        /// Simulations actually executed during the round (0 for a healthy
+        /// warm round).
+        pub sims_run: u64,
+        /// Requests answered from the on-disk cache during the round.
+        pub cache_hits: u64,
+    }
+
+    /// The job server's lifetime counters, all monotone: a point-in-time
+    /// copy, as `aim_serve::Server::counters` returns and the `stats` wire
+    /// op and this report carry them.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServeCounters {
+        /// Requests handled.
+        pub requests: u64,
+        /// Requests answered from the cache.
+        pub cache_hits: u64,
+        /// Requests that missed the cache.
+        pub cache_misses: u64,
+        /// Duplicate in-flight requests folded onto an existing computation.
+        pub dedup_waits: u64,
+        /// Simulations executed.
+        pub sims_run: u64,
+        /// Cache entries rejected by validation and recomputed.
+        pub corrupt_evictions: u64,
+        /// Verify-mode recomputations performed.
+        pub verified: u64,
+        /// Verify-mode recomputations that diverged from the cached bytes.
+        pub verify_mismatches: u64,
+    }
 }
 
 /// The job-server accounting report.
@@ -63,22 +89,8 @@ pub struct ServeReport {
     pub workers: usize,
     /// Concurrent submitter connections the replay drove.
     pub clients: usize,
-    /// Total requests handled.
-    pub requests: u64,
-    /// Requests answered from the cache.
-    pub cache_hits: u64,
-    /// Requests that missed the cache.
-    pub cache_misses: u64,
-    /// Duplicate in-flight requests folded onto an existing computation.
-    pub dedup_waits: u64,
-    /// Simulations executed.
-    pub sims_run: u64,
-    /// Cache entries rejected by the checksum and recomputed.
-    pub corrupt_evictions: u64,
-    /// Verify-mode recomputations performed.
-    pub verified: u64,
-    /// Verify-mode recomputations that diverged from the cached bytes.
-    pub verify_mismatches: u64,
+    /// The server's counters at the end of the run.
+    pub counters: ServeCounters,
     /// Fraction of worker-pool lifetime spent simulating.
     pub worker_utilization: f64,
     /// Cold wall time divided by the slowest warm round's wall time.
@@ -98,28 +110,13 @@ impl Report for ServeReport {
             .put_str("artifact", "aim_serve")
             .put_str("scale", &self.scale.to_string())
             .put_u64("workers", self.workers as u64)
-            .put_u64("clients", self.clients as u64)
-            .put_u64("requests", self.requests)
-            .put_u64("cache_hits", self.cache_hits)
-            .put_u64("cache_misses", self.cache_misses)
-            .put_u64("dedup_waits", self.dedup_waits)
-            .put_u64("sims_run", self.sims_run)
-            .put_u64("corrupt_evictions", self.corrupt_evictions)
-            .put_u64("verified", self.verified)
-            .put_u64("verify_mismatches", self.verify_mismatches)
-            .put_f64("worker_utilization", self.worker_utilization)
+            .put_u64("clients", self.clients as u64);
+        self.counters.put("", msg);
+        msg.put_f64("worker_utilization", self.worker_utilization)
             .put_f64("warm_speedup", self.warm_speedup);
     }
 
     fn rows(&self) -> &[ServeRound] {
         &self.rounds
-    }
-
-    fn row(round: &ServeRound, msg: &mut WireMsg) {
-        msg.put_str("label", &round.label)
-            .put_u64("cells", round.cells)
-            .put_f64("wall_seconds", round.wall_seconds)
-            .put_u64("sims_run", round.sims_run)
-            .put_u64("cache_hits", round.cache_hits);
     }
 }

@@ -32,23 +32,25 @@ use crate::{Matrix, Prepared, Report};
 use aim_pipeline::SimConfig;
 use aim_types::wire::WireMsg;
 
-/// One (workload, config) cell of a sweep report.
-#[derive(Debug, Clone, Default)]
-pub struct SweepRow {
-    /// Workload name.
-    pub workload: String,
-    /// Configuration name.
-    pub config: String,
-    /// Simulated cycles.
-    pub sim_cycles: u64,
-    /// Retired (simulated) instructions.
-    pub retired: u64,
-    /// Host wall-clock seconds spent in the cycle loop.
-    pub host_seconds: f64,
-    /// Simulated kilocycles per host second.
-    pub kcycles_per_sec: f64,
-    /// Retired simulated million instructions per host second.
-    pub retired_mips: f64,
+aim_types::record! {
+    /// One (workload, config) cell of a sweep report.
+    #[derive(Debug, Clone, Default)]
+    pub struct SweepRow {
+        /// Workload name.
+        pub workload: String,
+        /// Configuration name.
+        pub config: String,
+        /// Simulated cycles.
+        pub sim_cycles: u64,
+        /// Retired (simulated) instructions.
+        pub retired: u64,
+        /// Host wall-clock seconds spent in the cycle loop.
+        pub host_seconds: f64,
+        /// Simulated kilocycles per host second.
+        pub kcycles_per_sec: f64,
+        /// Retired simulated million instructions per host second.
+        pub retired_mips: f64,
+    }
 }
 
 /// Host-throughput summary of one sweep.
@@ -131,16 +133,6 @@ impl Report for SweepReport {
 
     fn rows(&self) -> &[SweepRow] {
         &self.rows
-    }
-
-    fn row(r: &SweepRow, msg: &mut WireMsg) {
-        msg.put_str("workload", &r.workload)
-            .put_str("config", &r.config)
-            .put_u64("sim_cycles", r.sim_cycles)
-            .put_u64("retired", r.retired)
-            .put_f64("host_seconds", r.host_seconds)
-            .put_f64("kcycles_per_sec", r.kcycles_per_sec)
-            .put_f64("retired_mips", r.retired_mips);
     }
 }
 

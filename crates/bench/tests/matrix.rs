@@ -35,10 +35,9 @@ fn parallel_matrix_is_byte_identical_to_serial() {
     for (w, c, stats) in serial.iter() {
         // Host-side wall-clock timings legitimately differ between runs;
         // every simulated quantity must not.
-        let lhs = format!("{:?}", stats.with_zeroed_host());
-        let rhs = format!("{:?}", parallel.get(w, c).with_zeroed_host());
         assert_eq!(
-            lhs, rhs,
+            stats.with_zeroed_host(),
+            parallel.get(w, c).with_zeroed_host(),
             "jobs=4 diverged from jobs=1 on {} under {}",
             prepared[w].name, configs[c].0
         );

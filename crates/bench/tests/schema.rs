@@ -11,8 +11,8 @@
 use aim_bench::{
     FarMemReport, FarMemRow, FilterSweepReport, FilterSweepRow, HostperfReport, HostperfRow,
     HybridReport, HybridRow, LitmusReport, LitmusRow, PcaxReport, PcaxRow, PcaxSweepReport,
-    PcaxSweepRow, Report, SampledReport, SampledRow, ServeReport, ServeRound, SweepReport,
-    SweepRow,
+    PcaxSweepRow, Report, SampledReport, SampledRow, ServeCounters, ServeReport, ServeRound,
+    SweepReport, SweepRow,
 };
 use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
@@ -368,14 +368,16 @@ fn golden_serve() -> ServeReport {
         scale: Scale::Tiny,
         workers: 4,
         clients: 2,
-        requests: 480,
-        cache_hits: 240,
-        cache_misses: 240,
-        dedup_waits: 3,
-        sims_run: 240,
-        corrupt_evictions: 1,
-        verified: 12,
-        verify_mismatches: 0,
+        counters: ServeCounters {
+            requests: 480,
+            cache_hits: 240,
+            cache_misses: 240,
+            dedup_waits: 3,
+            sims_run: 240,
+            corrupt_evictions: 1,
+            verified: 12,
+            verify_mismatches: 0,
+        },
         worker_utilization: 0.75,
         warm_speedup: 42.5,
         rounds: vec![

@@ -372,13 +372,7 @@ fn parse_litmus(mut it: Iter<'_, String>) -> Result<Command, ParseError> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--test" => args.test = Some(value(&mut it, flag)?),
-            "--backend" => {
-                args.backend = Some(
-                    value(&mut it, flag)?
-                        .parse()
-                        .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?,
-                );
-            }
+            "--backend" => args.backend = Some(token(&mut it, flag)?),
             "--schedules" => args.schedules = number(&mut it, flag, "schedule count")?,
             "--paranoid" => args.paranoid = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
@@ -676,7 +670,7 @@ mod tests {
         assert_eq!(args.spec.far, Some(FarSpec::new(400, 64, 8)));
         let cfg = build_config(&args);
         assert_eq!(cfg.rob_entries, 4096);
-        assert_eq!(cfg.hierarchy.far, Some(FarSpec::new(400, 64, 8)));
+        assert_eq!(cfg.mem.far, Some(FarSpec::new(400, 64, 8)));
         assert!(err(&["run", "x", "--machine", "colossal"]).contains("baseline|aggressive|huge"));
         assert!(err(&["run", "x", "--far", "400x64"]).contains("LATENCYxMSHRSxBATCH"));
         assert!(err(&["run", "x", "--far", "400x0x8"]).contains("nonzero"));
@@ -812,6 +806,10 @@ mod tests {
         assert!(err(&["run", "x", "--lsq", "banana"]).contains("LxS"));
         assert!(err(&["run", "x", "--mode"]).contains("needs a value"));
         assert!(err(&["run", "x", "--bogus"]).contains("unknown option"));
+        // A backend token error lists the vocabulary, on every command.
+        for err in [err(&["run", "x", "--backend", "cam"]), err(&["litmus", "--backend", "cam"])] {
+            assert!(err.starts_with("--backend: unknown backend `cam` (nospec|lsq|"), "{err}");
+        }
         // Values a constructor would panic on, or that deadlock the
         // pipeline, fail at parse time with one line naming the flag.
         for (flag, v, why) in [

@@ -130,27 +130,29 @@ pub struct Violation {
     pub squash_after: SeqNum,
 }
 
-/// Counters for the MDT.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MdtStats {
-    /// Load execute-time checks performed.
-    pub load_checks: u64,
-    /// Store execute-time checks performed.
-    pub store_checks: u64,
-    /// True dependence violations detected.
-    pub true_violations: u64,
-    /// Anti dependence violations detected.
-    pub anti_violations: u64,
-    /// Output dependence violations detected.
-    pub output_violations: u64,
-    /// Structural (set) conflicts forcing re-execution.
-    pub conflicts: u64,
-    /// Stale entries reclaimed at allocation time.
-    pub reclaims: u64,
-    /// Entries freed at retirement.
-    pub frees: u64,
-    /// Aggressive (single-load) true-dependence recoveries taken.
-    pub aggressive_recoveries: u64,
+aim_types::record! {
+    /// Counters for the MDT.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MdtStats {
+        /// Load execute-time checks performed.
+        pub load_checks: u64,
+        /// Store execute-time checks performed.
+        pub store_checks: u64,
+        /// True dependence violations detected.
+        pub true_violations: u64,
+        /// Anti dependence violations detected.
+        pub anti_violations: u64,
+        /// Output dependence violations detected.
+        pub output_violations: u64,
+        /// Structural (set) conflicts forcing re-execution.
+        pub conflicts: u64,
+        /// Stale entries reclaimed at allocation time.
+        pub reclaims: u64,
+        /// Entries freed at retirement.
+        pub frees: u64,
+        /// Aggressive (single-load) true-dependence recoveries taken.
+        pub aggressive_recoveries: u64,
+    }
 }
 
 impl MdtStats {

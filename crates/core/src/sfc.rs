@@ -104,29 +104,31 @@ pub enum SfcLoadResult {
     Corrupt,
 }
 
-/// Counters for the SFC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SfcStats {
-    /// Store writes that completed.
-    pub store_writes: u64,
-    /// Store writes rejected by a set conflict.
-    pub store_conflicts: u64,
-    /// Load lookups performed.
-    pub load_lookups: u64,
-    /// Loads fully forwarded from the SFC.
-    pub forwards: u64,
-    /// Loads finding a partial match.
-    pub partial_matches: u64,
-    /// Loads rejected because a requested byte was corrupt.
-    pub corrupt_rejections: u64,
-    /// Entries freed at store retirement.
-    pub frees: u64,
-    /// Stale entries reclaimed (writer no longer in flight).
-    pub reclaims: u64,
-    /// Partial-flush corruption sweeps performed.
-    pub partial_flushes: u64,
-    /// Full SFC flushes performed.
-    pub full_flushes: u64,
+aim_types::record! {
+    /// Counters for the SFC.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SfcStats {
+        /// Store writes that completed.
+        pub store_writes: u64,
+        /// Store writes rejected by a set conflict.
+        pub store_conflicts: u64,
+        /// Load lookups performed.
+        pub load_lookups: u64,
+        /// Loads fully forwarded from the SFC.
+        pub forwards: u64,
+        /// Loads finding a partial match.
+        pub partial_matches: u64,
+        /// Loads rejected because a requested byte was corrupt.
+        pub corrupt_rejections: u64,
+        /// Entries freed at store retirement.
+        pub frees: u64,
+        /// Stale entries reclaimed (writer no longer in flight).
+        pub reclaims: u64,
+        /// Partial-flush corruption sweeps performed.
+        pub partial_flushes: u64,
+        /// Full SFC flushes performed.
+        pub full_flushes: u64,
+    }
 }
 
 /// Expands a byte mask to a 64-bit lane mask: bit `i` set ⇒ byte lane `i`

@@ -136,31 +136,33 @@ pub struct LsqLoadValue {
     pub forwarded_bytes: u32,
 }
 
-/// Activity counters; the search counts drive the paper's dynamic-power
-/// argument (every load searches the SQ, every store searches the LQ).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LsqStats {
-    /// Associative store-queue searches (one per executed load).
-    pub sq_searches: u64,
-    /// Associative load-queue searches (one per executed store).
-    pub lq_searches: u64,
-    /// Loads fully satisfied from the store queue.
-    pub full_forwards: u64,
-    /// Loads partially satisfied (merged with memory).
-    pub partial_forwards: u64,
-    /// True dependence violations raised.
-    pub violations: u64,
-    /// Would-be violations suppressed because the store was silent.
-    pub silent_store_suppressions: u64,
-    /// Peak load-queue occupancy.
-    pub peak_lq: usize,
-    /// Peak store-queue occupancy.
-    pub peak_sq: usize,
-    /// Store-queue entries examined across all searches — each is a CAM
-    /// comparator firing, the paper's dynamic-power currency.
-    pub sq_entries_compared: u64,
-    /// Load-queue entries examined across all searches.
-    pub lq_entries_compared: u64,
+aim_types::record! {
+    /// Activity counters; the search counts drive the paper's dynamic-power
+    /// argument (every load searches the SQ, every store searches the LQ).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LsqStats {
+        /// Associative store-queue searches (one per executed load).
+        pub sq_searches: u64,
+        /// Associative load-queue searches (one per executed store).
+        pub lq_searches: u64,
+        /// Loads fully satisfied from the store queue.
+        pub full_forwards: u64,
+        /// Loads partially satisfied (merged with memory).
+        pub partial_forwards: u64,
+        /// True dependence violations raised.
+        pub violations: u64,
+        /// Would-be violations suppressed because the store was silent.
+        pub silent_store_suppressions: u64,
+        /// Peak load-queue occupancy.
+        pub peak_lq: usize,
+        /// Peak store-queue occupancy.
+        pub peak_sq: usize,
+        /// Store-queue entries examined across all searches — each is a CAM
+        /// comparator firing, the paper's dynamic-power currency.
+        pub sq_entries_compared: u64,
+        /// Load-queue entries examined across all searches.
+        pub lq_entries_compared: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

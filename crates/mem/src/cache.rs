@@ -62,13 +62,15 @@ impl CacheConfig {
     }
 }
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Accesses that hit.
-    pub hits: u64,
-    /// Accesses that missed (and filled).
-    pub misses: u64,
+aim_types::record! {
+    /// Hit/miss counters for one cache.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Accesses that hit.
+        pub hits: u64,
+        /// Accesses that missed (and filled).
+        pub misses: u64,
+    }
 }
 
 impl CacheStats {

@@ -104,19 +104,21 @@ impl FromStr for FarSpec {
     }
 }
 
-/// Counters for the far-memory tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FarStats {
-    /// Far accesses that started or joined a miss (excludes refusals).
-    pub accesses: u64,
-    /// Accesses that coalesced onto an already-outstanding miss.
-    pub coalesced: u64,
-    /// Refusable accesses rejected because every MSHR was busy.
-    pub busy: u64,
-    /// Never-refuse accesses that queued past the MSHR bound.
-    pub overflow: u64,
-    /// High-water mark of simultaneously outstanding misses.
-    pub peak_inflight: usize,
+aim_types::record! {
+    /// Counters for the far-memory tier.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FarStats {
+        /// Far accesses that started or joined a miss (excludes refusals).
+        pub accesses: u64,
+        /// Accesses that coalesced onto an already-outstanding miss.
+        pub coalesced: u64,
+        /// Refusable accesses rejected because every MSHR was busy.
+        pub busy: u64,
+        /// Never-refuse accesses that queued past the MSHR bound.
+        pub overflow: u64,
+        /// High-water mark of simultaneously outstanding misses.
+        pub peak_inflight: usize,
+    }
 }
 
 /// The far-memory tier's timing state: the bounded set of in-flight misses.

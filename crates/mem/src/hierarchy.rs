@@ -1,8 +1,6 @@
 //! The L1I / L1D / L2 cache hierarchy of the paper's Figure 4, and the
 //! canonical [`MemSpec`] describing every tier of the memory system.
 
-use std::fmt;
-
 use aim_types::Addr;
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -25,7 +23,6 @@ pub enum MemLevel {
 /// This is the single config type every layer threads — the `SimConfig`
 /// builder's `.mem(..)` knob, the shared memory system, the wire
 /// `JobSpec`, and the content-addressed cache key all speak `MemSpec`.
-/// The legacy name [`HierarchyConfig`] is an alias.
 ///
 /// Defaults reproduce Figure 4 of the paper (no far tier):
 ///
@@ -34,7 +31,7 @@ pub enum MemLevel {
 /// | L1 I | 8 KB, 2-way, 128 B lines | 10 cycles |
 /// | L1 D | 8 KB, 4-way, 64 B lines | 10 cycles |
 /// | L2 | 512 KB, 8-way, 128 B lines | 100 cycles |
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemSpec {
     /// L1 instruction cache geometry.
     pub l1i: CacheConfig,
@@ -54,10 +51,6 @@ pub struct MemSpec {
     /// The far-memory tier behind the shared L2, if any.
     pub far: Option<FarSpec>,
 }
-
-/// The pre-`MemSpec` name of the memory config, kept as an alias so the
-/// original call sites (and their serialized `Debug` text) keep working.
-pub type HierarchyConfig = MemSpec;
 
 impl Default for MemSpec {
     fn default() -> MemSpec {
@@ -99,32 +92,6 @@ impl MemSpec {
     }
 }
 
-/// **Compatibility contract** (the content-addressed result cache and the
-/// hostperf stats fingerprint both hash `Debug` text): a `MemSpec` without
-/// a far tier renders byte-identically to the pre-refactor derived
-/// `HierarchyConfig` output, so every pre-existing config keeps its cache
-/// key. Only a spec with `far: Some(..)` renders the new field (under the
-/// `MemSpec` name) — a genuinely new machine, so a new key is correct.
-impl fmt::Debug for MemSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct(if self.far.is_some() {
-            "MemSpec"
-        } else {
-            "HierarchyConfig"
-        });
-        d.field("l1i", &self.l1i)
-            .field("l1d", &self.l1d)
-            .field("l2", &self.l2)
-            .field("l1_hit_cycles", &self.l1_hit_cycles)
-            .field("l1_miss_cycles", &self.l1_miss_cycles)
-            .field("l2_miss_cycles", &self.l2_miss_cycles);
-        if self.far.is_some() {
-            d.field("far", &self.far);
-        }
-        d.finish()
-    }
-}
-
 /// The simulated machine's cache hierarchy: split L1, unified L2.
 ///
 /// Purely a timing model — see [`Cache`]. Instruction fetches probe L1I→L2;
@@ -140,10 +107,10 @@ impl fmt::Debug for MemSpec {
 /// # Examples
 ///
 /// ```
-/// use aim_mem::{CacheHierarchy, HierarchyConfig, MemLevel};
+/// use aim_mem::{CacheHierarchy, MemSpec, MemLevel};
 /// use aim_types::Addr;
 ///
-/// let mut h = CacheHierarchy::new(HierarchyConfig::default());
+/// let mut h = CacheHierarchy::new(MemSpec::default());
 /// let (level, lat) = h.access_data(Addr(0x4000));
 /// assert_eq!(level, MemLevel::Memory); // cold
 /// let (level, lat2) = h.access_data(Addr(0x4000));
@@ -152,7 +119,7 @@ impl fmt::Debug for MemSpec {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    config: HierarchyConfig,
+    config: MemSpec,
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
@@ -160,7 +127,7 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds an empty hierarchy.
-    pub fn new(config: HierarchyConfig) -> CacheHierarchy {
+    pub fn new(config: MemSpec) -> CacheHierarchy {
         CacheHierarchy {
             config,
             l1i: Cache::new(config.l1i),
@@ -170,14 +137,14 @@ impl CacheHierarchy {
     }
 
     /// The configured parameters.
-    pub fn config(&self) -> HierarchyConfig {
+    pub fn config(&self) -> MemSpec {
         self.config
     }
 
     fn access(
         l1: &mut Cache,
         l2: &mut Cache,
-        cfg: &HierarchyConfig,
+        cfg: &MemSpec,
         addr: Addr,
     ) -> (MemLevel, u64) {
         if l1.access(addr) {
@@ -215,7 +182,7 @@ mod tests {
 
     #[test]
     fn default_matches_figure4() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         assert_eq!(cfg.l1i.capacity_bytes(), 8 * 1024);
         assert_eq!(cfg.l1i.ways(), 2);
         assert_eq!(cfg.l1i.line_bytes(), 128);
@@ -229,7 +196,7 @@ mod tests {
 
     #[test]
     fn latency_ladder() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h = CacheHierarchy::new(MemSpec::default());
         let (lv0, lat0) = h.access_data(Addr(0x9000));
         assert_eq!((lv0, lat0), (MemLevel::Memory, 111));
         let (lv1, lat1) = h.access_data(Addr(0x9000));
@@ -242,7 +209,7 @@ mod tests {
 
     #[test]
     fn instruction_and_data_paths_are_split() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h = CacheHierarchy::new(MemSpec::default());
         h.access_instr(Addr(0x100));
         // Same address on the data side still misses L1D (but hits the
         // unified L2, which the instruction fill populated).
@@ -251,31 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn debug_without_far_matches_the_legacy_derived_text() {
-        // The compatibility contract: the cache key and the stats
-        // fingerprint hash Debug text, so a far-less MemSpec must render
-        // exactly as the old derived HierarchyConfig did.
-        let text = format!("{:?}", MemSpec::default());
-        assert_eq!(
-            text,
-            "HierarchyConfig { \
-             l1i: CacheConfig { capacity_bytes: 8192, ways: 2, line_bytes: 128 }, \
-             l1d: CacheConfig { capacity_bytes: 8192, ways: 4, line_bytes: 64 }, \
-             l2: CacheConfig { capacity_bytes: 524288, ways: 8, line_bytes: 128 }, \
-             l1_hit_cycles: 1, l1_miss_cycles: 10, l2_miss_cycles: 100 }"
-        );
-        assert!(!text.contains("far"));
-    }
-
-    #[test]
     fn debug_with_far_renders_the_new_surface() {
         let spec = MemSpec::figure4().with_far(FarSpec::new(400, 64, 8));
         let text = format!("{spec:?}");
         assert!(text.starts_with("MemSpec {"), "{text}");
-        assert!(
-            text.contains("far: Some(FarSpec { latency: 400, mshrs: 64, batch: 8 })"),
-            "{text}"
-        );
+        assert!(text.contains("FarSpec { latency: 400, mshrs: 64, batch: 8 }"), "{text}");
     }
 
     #[test]
@@ -288,7 +235,7 @@ mod tests {
 
     #[test]
     fn stats_attribution() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
+        let mut h = CacheHierarchy::new(MemSpec::default());
         h.access_instr(Addr(0));
         h.access_data(Addr(0));
         h.access_data(Addr(0));

@@ -48,7 +48,7 @@ mod store_fifo;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use far::{FarMemory, FarSpec, FarStats};
-pub use hierarchy::{CacheHierarchy, HierarchyConfig, MemLevel, MemSpec};
+pub use hierarchy::{CacheHierarchy, MemLevel, MemSpec};
 pub use memory::MainMemory;
 pub use shared::{CoreMemSys, SharedHandle, SharedMemSystem};
 pub use store_fifo::{StoreFifo, StoreFifoEntry};

@@ -26,12 +26,12 @@
 //! # Examples
 //!
 //! ```
-//! use aim_mem::{CoreMemSys, HierarchyConfig, MainMemory, MemLevel, SharedMemSystem};
+//! use aim_mem::{CoreMemSys, MemSpec, MainMemory, MemLevel, SharedMemSystem};
 //! use aim_types::Addr;
 //!
-//! let shared = SharedMemSystem::new(MainMemory::new(), HierarchyConfig::default()).into_handle();
-//! let mut c0 = CoreMemSys::attach(0, HierarchyConfig::default(), shared.clone());
-//! let mut c1 = CoreMemSys::attach(1, HierarchyConfig::default(), shared);
+//! let shared = SharedMemSystem::new(MainMemory::new(), MemSpec::default()).into_handle();
+//! let mut c0 = CoreMemSys::attach(0, MemSpec::default(), shared.clone());
+//! let mut c1 = CoreMemSys::attach(1, MemSpec::default(), shared);
 //!
 //! let (level, _) = c0.access_data(Addr(0x4000));
 //! assert_eq!(level, MemLevel::Memory); // cold everywhere
@@ -47,7 +47,7 @@ use aim_types::{Addr, MemAccess};
 
 use crate::cache::{Cache, CacheStats};
 use crate::far::{FarMemory, FarStats};
-use crate::hierarchy::{HierarchyConfig, MemLevel};
+use crate::hierarchy::{MemSpec, MemLevel};
 use crate::memory::MainMemory;
 
 /// The process-wide tier of the memory system: committed architectural
@@ -68,7 +68,7 @@ impl SharedMemSystem {
     /// Builds the shared tier over an initial committed-memory image. A
     /// [`MemSpec::far`](crate::MemSpec::far) tier, when present, lives here
     /// — shared by every attached core, like the L2 it sits behind.
-    pub fn new(mem: MainMemory, config: HierarchyConfig) -> SharedMemSystem {
+    pub fn new(mem: MainMemory, config: MemSpec) -> SharedMemSystem {
         SharedMemSystem {
             mem,
             l2: Cache::new(config.l2),
@@ -117,7 +117,7 @@ impl SharedMemSystem {
 #[derive(Debug)]
 pub struct CoreMemSys {
     core_id: usize,
-    config: HierarchyConfig,
+    config: MemSpec,
     l1i: Cache,
     l1d: Cache,
     shared: SharedHandle,
@@ -125,7 +125,7 @@ pub struct CoreMemSys {
 
 impl CoreMemSys {
     /// Attaches a new core (cold private L1s) to a shared system.
-    pub fn attach(core_id: usize, config: HierarchyConfig, shared: SharedHandle) -> CoreMemSys {
+    pub fn attach(core_id: usize, config: MemSpec, shared: SharedHandle) -> CoreMemSys {
         CoreMemSys {
             core_id,
             config,
@@ -137,7 +137,7 @@ impl CoreMemSys {
 
     /// Builds a self-contained single-core memory system (core id 0) over
     /// its own private shared tier — the single-core `Machine` path.
-    pub fn single(mem: MainMemory, config: HierarchyConfig) -> CoreMemSys {
+    pub fn single(mem: MainMemory, config: MemSpec) -> CoreMemSys {
         CoreMemSys::attach(0, config, SharedMemSystem::new(mem, config).into_handle())
     }
 
@@ -147,7 +147,7 @@ impl CoreMemSys {
     }
 
     /// The configured hierarchy parameters.
-    pub fn config(&self) -> HierarchyConfig {
+    pub fn config(&self) -> MemSpec {
         self.config
     }
 
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn single_core_matches_cache_hierarchy_exactly() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         let mut h = CacheHierarchy::new(cfg);
         let mut c = CoreMemSys::single(MainMemory::new(), cfg);
         // A mixed instruction/data stream with reuse at every level.
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn commit_store_writes_and_fills_tags() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         let mut c = CoreMemSys::single(MainMemory::new(), cfg);
         let access = MemAccess::new(Addr(0x8000), aim_types::AccessSize::Double).unwrap();
         let (lv, _) = c.commit_store(access, 0xDEAD_BEEF, 0);
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn l2_is_shared_and_l1_private() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         let shared = SharedMemSystem::new(MainMemory::new(), cfg).into_handle();
         let mut c0 = CoreMemSys::attach(0, cfg, shared.clone());
         let mut c1 = CoreMemSys::attach(1, cfg, shared.clone());
@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn writes_are_visible_across_cores() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         let shared = SharedMemSystem::new(MainMemory::new(), cfg).into_handle();
         let mut c0 = CoreMemSys::attach(0, cfg, shared.clone());
         let c1 = CoreMemSys::attach(1, cfg, shared);
@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn at_variants_match_legacy_without_a_far_tier() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         let mut legacy = CoreMemSys::single(MainMemory::new(), cfg);
         let mut at = CoreMemSys::single(MainMemory::new(), cfg);
         let addrs = [0x0u64, 0x40, 0x9000, 0x0, 0x9040, 0x2_0000, 0x9000];
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn far_tier_replaces_the_near_memory_ladder_step() {
-        let cfg = HierarchyConfig::default().with_far(crate::FarSpec::new(400, 4, 1));
+        let cfg = MemSpec::default().with_far(crate::FarSpec::new(400, 4, 1));
         let mut c = CoreMemSys::single(MainMemory::new(), cfg);
         // Cold miss at cycle 0: 1 (L1) + 10 (L2) + 400 (far) = 411.
         assert_eq!(c.access_data_at(Addr(0x4000), 0), (MemLevel::Memory, 411));
@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn far_misses_coalesce_across_sibling_cores() {
-        let cfg = HierarchyConfig::default().with_far(crate::FarSpec::new(400, 4, 1));
+        let cfg = MemSpec::default().with_far(crate::FarSpec::new(400, 4, 1));
         let shared = SharedMemSystem::new(MainMemory::new(), cfg).into_handle();
         let mut c0 = CoreMemSys::attach(0, cfg, shared.clone());
         let mut c1 = CoreMemSys::attach(1, cfg, shared.clone());
@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn refused_far_access_leaves_no_trace() {
-        let cfg = HierarchyConfig::default().with_far(crate::FarSpec::new(100, 1, 1));
+        let cfg = MemSpec::default().with_far(crate::FarSpec::new(100, 1, 1));
         let mut c = CoreMemSys::single(MainMemory::new(), cfg);
         assert_eq!(c.try_access_data_at(Addr(0x1000), 0), Some((MemLevel::Memory, 111)));
         // The only MSHR is busy with a different line: refused.
@@ -454,7 +454,7 @@ mod tests {
 
     #[test]
     fn into_memory_takes_or_clones() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         let acc = MemAccess::new(Addr(0x8), aim_types::AccessSize::Double).unwrap();
         let mut solo = CoreMemSys::single(MainMemory::new(), cfg);
         solo.write(acc, 7);

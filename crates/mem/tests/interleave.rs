@@ -11,7 +11,7 @@
 //! construction, so they must match a solo run of the same stream exactly.
 
 use aim_mem::{
-    CacheStats, CoreMemSys, FarSpec, FarStats, HierarchyConfig, MainMemory, MemSpec,
+    CacheStats, CoreMemSys, FarSpec, FarStats, MainMemory, MemSpec,
     SharedMemSystem,
 };
 use aim_types::Addr;
@@ -46,7 +46,7 @@ fn run_interleaved(
     streams: &[Vec<Access>; 2],
     schedule: &[(bool, u8)],
 ) -> ([(CacheStats, CacheStats); 2], CacheStats) {
-    let cfg = HierarchyConfig::default();
+    let cfg = MemSpec::default();
     let shared = SharedMemSystem::new(MainMemory::new(), cfg).into_handle();
     let mut cores = [
         CoreMemSys::attach(0, cfg, shared.clone()),
@@ -78,7 +78,7 @@ fn run_interleaved(
 
 /// Runs one stream alone through a fresh single-core system.
 fn run_solo(core_id: usize, stream: &[Access]) -> (CacheStats, CacheStats) {
-    let mut core = CoreMemSys::single(MainMemory::new(), HierarchyConfig::default());
+    let mut core = CoreMemSys::single(MainMemory::new(), MemSpec::default());
     for &access in stream {
         drive(&mut core, core_id, access);
     }
@@ -159,7 +159,7 @@ proptest! {
         }
         // Sanity: the shared L2 really saw both cores' misses.
         let solo_l2 = |s: &[Access], id: usize| {
-            let mut core = CoreMemSys::single(MainMemory::new(), HierarchyConfig::default());
+            let mut core = CoreMemSys::single(MainMemory::new(), MemSpec::default());
             for &a in s {
                 drive(&mut core, id, a);
             }

@@ -66,8 +66,8 @@ proptest! {
 
 #[test]
 fn hierarchy_commit_path_counts_like_loads() {
-    use aim_mem::{CacheHierarchy, HierarchyConfig, MemLevel};
-    let mut h = CacheHierarchy::new(HierarchyConfig::default());
+    use aim_mem::{CacheHierarchy, MemSpec, MemLevel};
+    let mut h = CacheHierarchy::new(MemSpec::default());
     // A store commit and a later load to the same line share residency.
     let (lv, _) = h.access_data(Addr(0x7000));
     assert_eq!(lv, MemLevel::Memory);
@@ -77,12 +77,12 @@ fn hierarchy_commit_path_counts_like_loads() {
 
 #[test]
 fn hierarchy_latencies_compose_from_config() {
-    use aim_mem::{CacheHierarchy, HierarchyConfig, MemLevel};
-    let cfg = HierarchyConfig {
+    use aim_mem::{CacheHierarchy, MemSpec, MemLevel};
+    let cfg = MemSpec {
         l1_hit_cycles: 2,
         l1_miss_cycles: 7,
         l2_miss_cycles: 50,
-        ..HierarchyConfig::default()
+        ..MemSpec::default()
     };
     let mut h = CacheHierarchy::new(cfg);
     let (lv, lat) = h.access_data(Addr(0));

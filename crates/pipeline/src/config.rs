@@ -6,7 +6,7 @@ use std::str::FromStr;
 use aim_backend::{
     BackendParams, FilterConfig, LsqConfig, MdtConfig, PartialMatchPolicy, PcaxConfig, SfcConfig,
 };
-use aim_mem::{HierarchyConfig, MemSpec};
+use aim_mem::MemSpec;
 use aim_predictor::{EnforceMode, PredictorConfig};
 use aim_types::token::parse_choice;
 use aim_types::SampleSpec;
@@ -30,7 +30,7 @@ pub enum OutputDepRecovery {
 /// [`SimConfig::aggressive`] reproduce the two columns of Figure 4;
 /// [`SimConfig::machine`] starts a [`MachineBuilder`] that picks the
 /// class-appropriate geometry for any [`BackendChoice`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Instructions fetched, dispatched and retired per cycle.
     pub width: usize,
@@ -60,10 +60,8 @@ pub struct SimConfig {
     /// Address-generation latency for loads and stores.
     pub agu_latency: u64,
     /// Memory-system spec: cache geometry, the latency ladder, and the
-    /// optional far-memory tier (the canonical [`MemSpec`]; the field keeps
-    /// its pre-`MemSpec` name, which the content-addressed cache key's
-    /// canonical `Debug` text depends on).
-    pub hierarchy: HierarchyConfig,
+    /// optional far-memory tier.
+    pub mem: MemSpec,
     /// Which memory-ordering backend the machine instantiates (see
     /// [`aim_backend::build`]).
     pub backend: BackendConfig,
@@ -130,53 +128,6 @@ pub struct SimConfig {
     pub sample: Option<SampleSpec>,
 }
 
-/// **Compatibility contract** (the content-addressed serve cache keys the
-/// canonical `Debug` text of the config): a config without a sampling
-/// policy renders byte-identically to the pre-sampling derived output — the
-/// `sample` field is printed only when populated, in which case the run
-/// measures different (extrapolated) statistics and a new cache key is
-/// correct. Mirrors the [`MemSpec`] `far` and `SimStats` treatment.
-impl fmt::Debug for SimConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("SimConfig");
-        d.field("width", &self.width)
-            .field("max_branches_per_cycle", &self.max_branches_per_cycle)
-            .field("issue_width", &self.issue_width)
-            .field("rob_entries", &self.rob_entries)
-            .field("phys_regs", &self.phys_regs)
-            .field("mispredict_penalty", &self.mispredict_penalty)
-            .field(
-                "mdt_violation_extra_penalty",
-                &self.mdt_violation_extra_penalty,
-            )
-            .field("sfc_store_extra_latency", &self.sfc_store_extra_latency)
-            .field("alu_latency", &self.alu_latency)
-            .field("mul_latency", &self.mul_latency)
-            .field("agu_latency", &self.agu_latency)
-            .field("hierarchy", &self.hierarchy)
-            .field("backend", &self.backend)
-            .field("dep_predictor", &self.dep_predictor)
-            .field("gshare_counters", &self.gshare_counters)
-            .field("gshare_history_bits", &self.gshare_history_bits)
-            .field("oracle_fix_probability", &self.oracle_fix_probability)
-            .field("seed", &self.seed)
-            .field("partial_match_policy", &self.partial_match_policy)
-            .field("output_dep_recovery", &self.output_dep_recovery)
-            .field("stall_bits", &self.stall_bits)
-            .field("store_fifo_entries", &self.store_fifo_entries)
-            .field("mdt_filter", &self.mdt_filter)
-            .field("event_trace", &self.event_trace)
-            .field("pipeview", &self.pipeview)
-            .field("paranoid", &self.paranoid)
-            .field("validate_retirement", &self.validate_retirement)
-            .field("max_instrs", &self.max_instrs);
-        if self.sample.is_some() {
-            d.field("sample", &self.sample);
-        }
-        d.finish()
-    }
-}
-
 impl SimConfig {
     /// The paper's baseline 4-wide superscalar (Figure 4, left column).
     pub fn baseline(backend: BackendConfig) -> SimConfig {
@@ -192,7 +143,7 @@ impl SimConfig {
             alu_latency: 1,
             mul_latency: 3,
             agu_latency: 1,
-            hierarchy: HierarchyConfig::default(),
+            mem: MemSpec::default(),
             backend,
             dep_predictor: PredictorConfig::figure4(EnforceMode::All),
             gshare_counters: 4096,
@@ -448,7 +399,7 @@ impl MachineBuilder {
         };
         cfg.dep_predictor = PredictorConfig::figure4(mode);
         if let Some(mem) = self.mem {
-            cfg.hierarchy = mem;
+            cfg.mem = mem;
         }
         cfg.sample = self.sample;
         cfg
@@ -542,27 +493,25 @@ mod tests {
         use aim_mem::FarSpec;
         let spec = MemSpec::figure4().with_far(FarSpec::new(400, 64, 8));
         let c = SimConfig::machine(MachineClass::Huge).mem(spec).build();
-        assert_eq!(c.hierarchy, spec);
-        assert_eq!(c.hierarchy.far, Some(FarSpec::new(400, 64, 8)));
-        // Default-filled specs are the default hierarchy (the cache-key
-        // compatibility contract rides on this).
+        assert_eq!(c.mem, spec);
+        assert_eq!(c.mem.far, Some(FarSpec::new(400, 64, 8)));
+        // Default-filled specs are the default hierarchy, so spelling the
+        // default out keeps the cache key.
         let default_filled = SimConfig::machine(MachineClass::Baseline)
             .mem(MemSpec::figure4())
             .build();
         let implicit = SimConfig::machine(MachineClass::Baseline).build();
-        assert_eq!(default_filled.hierarchy, implicit.hierarchy);
+        assert_eq!(default_filled.mem, implicit.mem);
     }
 
     #[test]
     fn sample_knob_threads_and_debug_stays_compatible() {
-        // Compatibility contract: with sampling off (the default), the
-        // canonical Debug text must not mention the field at all — every
-        // committed cache fingerprint rides on this.
+        // The canonical Debug text (what the cache key hashes) carries the
+        // sampling policy, so a sampled cell never shares a full-detail key.
         let off = SimConfig::machine(MachineClass::Baseline).build();
         assert_eq!(off.sample, None);
         let off_text = format!("{off:?}");
-        assert!(!off_text.contains("sample"), "{off_text}");
-        assert!(off_text.ends_with("max_instrs: 0 }"), "{off_text}");
+        assert!(off_text.ends_with("max_instrs: 0, sample: None }"), "{off_text}");
 
         let spec = SampleSpec::new(2_000, 500, 10).unwrap();
         let on = SimConfig::machine(MachineClass::Baseline)
@@ -571,7 +520,7 @@ mod tests {
         assert_eq!(on.sample, Some(spec));
         let on_text = format!("{on:?}");
         assert!(
-            on_text.contains(
+            on_text.ends_with(
                 "max_instrs: 0, sample: Some(SampleSpec { warm_insts: 2000, \
                  detail_insts: 500, periods: 10 }) }"
             ),

@@ -320,7 +320,7 @@ impl Core<'_> {
                     // idealized single-cycle store-queue bypass) is accessed
                     // in parallel with the L1.
                     let _ = self.memsys.access_data_at(access.addr(), self.cycle);
-                    self.config.hierarchy.l1_hit_cycles
+                    self.config.mem.l1_hit_cycles
                 } else {
                     self.memsys.access_data_at(access.addr(), self.cycle).1
                 };

@@ -179,7 +179,7 @@ impl<'a> Core<'a> {
     /// validated against `trace` (the golden architectural run of the same
     /// program).
     pub fn new(program: &'a Program, trace: &'a Trace, config: SimConfig) -> Core<'a> {
-        let memsys = CoreMemSys::single(program.build_memory(), config.hierarchy);
+        let memsys = CoreMemSys::single(program.build_memory(), config.mem);
         Core::attach(program, trace, config, memsys)
     }
 
@@ -195,7 +195,7 @@ impl<'a> Core<'a> {
         shared: SharedHandle,
     ) -> Core<'a> {
         config.seed ^= (core_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let memsys = CoreMemSys::attach(core_id, config.hierarchy, shared);
+        let memsys = CoreMemSys::attach(core_id, config.mem, shared);
         Core::attach(program, trace, config, memsys)
     }
 

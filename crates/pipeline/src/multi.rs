@@ -24,6 +24,9 @@ use aim_mem::{MainMemory, SharedHandle, SharedMemSystem};
 use crate::config::SimConfig;
 use crate::machine::{Core, SimError};
 use crate::stats::SimStats;
+use aim_backend::BackendStats;
+use aim_types::record::Record;
+use aim_types::wire::WireMsg;
 
 /// Which core advances on each global scheduling quantum.
 ///
@@ -112,7 +115,7 @@ impl<'a> MultiMachine<'a> {
                 mem.write_bytes(*addr, bytes);
             }
         }
-        let shared = SharedMemSystem::new(mem, config.hierarchy).into_handle();
+        let shared = SharedMemSystem::new(mem, config.mem).into_handle();
         let cores = workloads
             .iter()
             .enumerate()
@@ -220,63 +223,34 @@ impl<'a> MultiMachine<'a> {
 }
 
 /// Merges per-core statistics into a whole-machine view (see
-/// [`MultiStats::merged`] for the conventions).
+/// [`MultiStats::merged`]). Every counter of the record sums, so a new
+/// counter merges without a change here; the exceptions are `cycles` (the
+/// maximum), the shared L2 snapshot and the wall clock (core 0's), and the
+/// backend, far and sampled sections (left empty: per-backend counters
+/// are variant-typed, and the far tier is shared).
 fn merge_stats(per_core: &[SimStats]) -> SimStats {
-    let mut m = SimStats::default();
-    for (i, s) in per_core.iter().enumerate() {
-        m.cycles = m.cycles.max(s.cycles);
-        m.retired += s.retired;
-        m.retired_loads += s.retired_loads;
-        m.retired_stores += s.retired_stores;
-        m.fetched += s.fetched;
-        m.dispatched += s.dispatched;
-        m.issued += s.issued;
-        m.squashed += s.squashed;
-        m.load_executions += s.load_executions;
-        m.store_executions += s.store_executions;
-        m.loads_forwarded += s.loads_forwarded;
-        m.head_bypasses += s.head_bypasses;
-        m.mdt_filtered_loads += s.mdt_filtered_loads;
-        m.dispatch_stalls.rob_full += s.dispatch_stalls.rob_full;
-        m.dispatch_stalls.no_phys_reg += s.dispatch_stalls.no_phys_reg;
-        m.dispatch_stalls.lq_full += s.dispatch_stalls.lq_full;
-        m.dispatch_stalls.sq_full += s.dispatch_stalls.sq_full;
-        m.dispatch_stalls.fifo_full += s.dispatch_stalls.fifo_full;
-        m.replays.load_mdt_conflicts += s.replays.load_mdt_conflicts;
-        m.replays.store_mdt_conflicts += s.replays.store_mdt_conflicts;
-        m.replays.store_sfc_conflicts += s.replays.store_sfc_conflicts;
-        m.replays.load_corrupt += s.replays.load_corrupt;
-        m.replays.load_partial += s.replays.load_partial;
-        m.replays.order_waits += s.replays.order_waits;
-        m.flushes.branch += s.flushes.branch;
-        m.flushes.true_dep += s.flushes.true_dep;
-        m.flushes.anti_dep += s.flushes.anti_dep;
-        m.flushes.output_dep += s.flushes.output_dep;
-        m.branches_retired += s.branches_retired;
-        m.branch_mispredicts += s.branch_mispredicts;
-        m.gshare.correct += s.gshare.correct;
-        m.gshare.incorrect += s.gshare.incorrect;
-        m.dep_predictor.arcs_inserted += s.dep_predictor.arcs_inserted;
-        m.dep_predictor.arcs_filtered += s.dep_predictor.arcs_filtered;
-        m.dep_predictor.producers_dispatched += s.dep_predictor.producers_dispatched;
-        m.dep_predictor.consumers_dispatched += s.dep_predictor.consumers_dispatched;
-        m.dep_predictor.merges += s.dep_predictor.merges;
-        m.dep_predictor.clears += s.dep_predictor.clears;
-        // Private L1s sum; the shared L2 snapshot is identical across cores
-        // after the final re-finalization, so it is taken once.
-        m.caches.0.hits += s.caches.0.hits;
-        m.caches.0.misses += s.caches.0.misses;
-        m.caches.1.hits += s.caches.1.hits;
-        m.caches.1.misses += s.caches.1.misses;
-        if i == 0 {
-            m.caches.2 = s.caches.2;
-            m.host.wall_ns = s.host.wall_ns;
-        }
-        m.host.event_strings_built += s.host.event_strings_built;
-        // m.backend stays BackendStats::None: per-backend counters are
-        // variant-typed and remain meaningful only per core.
+    let records: Vec<WireMsg> = per_core
+        .iter()
+        .map(|s| {
+            let own = SimStats { backend: BackendStats::None, far: None, sampled: None, ..*s };
+            own.write()
+        })
+        .collect();
+    let Some(first) = records.first() else {
+        return SimStats::default();
+    };
+    let mut merged = WireMsg::new();
+    for key in first.keys() {
+        let mut values = records.iter().filter_map(|r| r.u64_field(key));
+        match key {
+            "backend" => merged.put_str(key, BackendStats::None.family()),
+            "cycles" => merged.put_u64(key, values.max().unwrap_or(0)),
+            "host.wall_ns" => merged.put_u64(key, values.next().unwrap_or(0)),
+            k if k.starts_with("caches.2.") => merged.put_u64(key, values.next().unwrap_or(0)),
+            _ => merged.put_u64(key, values.sum()),
+        };
     }
-    m
+    SimStats::read(&merged).expect("a merged record reads back")
 }
 
 /// Runs one litmus test on real pipelines under one schedule and returns
@@ -385,8 +359,8 @@ mod tests {
             .unwrap();
         assert_eq!(multi.per_core.len(), 1);
         assert_eq!(
-            format!("{:?}", solo.with_zeroed_host()),
-            format!("{:?}", multi.per_core[0].with_zeroed_host()),
+            solo.with_zeroed_host(),
+            multi.per_core[0].with_zeroed_host(),
             "one-core MultiMachine must be bit-identical to Machine"
         );
     }

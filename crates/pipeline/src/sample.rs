@@ -349,7 +349,7 @@ impl Core<'_> {
         // collapses to a handful of touches. Warm fetch training dedups
         // consecutive same-line touches to match — and since sequential
         // code dominates, this halves the warm engine's hierarchy traffic.
-        let line = self.config.hierarchy.l1i.line_bytes() as u64;
+        let line = self.config.mem.l1i.line_bytes() as u64;
         let mut last_fetch_line = u64::MAX;
         while self.stats.retired < target {
             let cursor = self.stats.retired;

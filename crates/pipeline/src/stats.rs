@@ -1,25 +1,25 @@
 //! Aggregate simulation statistics.
 
-use std::fmt;
-
 use aim_backend::{BackendStats, DispatchStall, MemKind, ReplayCause};
 use aim_mem::{CacheStats, FarStats};
 use aim_predictor::{GshareStats, PredictorStats};
 use aim_types::percent;
 
-/// Why dispatch stalled, cycle by cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DispatchStalls {
-    /// Reorder buffer full.
-    pub rob_full: u64,
-    /// No free physical register.
-    pub no_phys_reg: u64,
-    /// Load queue full (LSQ backend only).
-    pub lq_full: u64,
-    /// Store queue full (LSQ backend only).
-    pub sq_full: u64,
-    /// Store FIFO full (bounded-FIFO configurations only).
-    pub fifo_full: u64,
+aim_types::record! {
+    /// Why dispatch stalled, cycle by cycle.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DispatchStalls {
+        /// Reorder buffer full.
+        pub rob_full: u64,
+        /// No free physical register.
+        pub no_phys_reg: u64,
+        /// Load queue full (LSQ backend only).
+        pub lq_full: u64,
+        /// Store queue full (LSQ backend only).
+        pub sq_full: u64,
+        /// Store FIFO full (bounded-FIFO configurations only).
+        pub fifo_full: u64,
+    }
 }
 
 impl DispatchStalls {
@@ -36,21 +36,23 @@ impl DispatchStalls {
     }
 }
 
-/// Why memory instructions were dropped and replayed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayCounts {
-    /// Loads replayed on MDT set conflicts.
-    pub load_mdt_conflicts: u64,
-    /// Stores replayed on MDT set conflicts.
-    pub store_mdt_conflicts: u64,
-    /// Stores replayed on SFC set conflicts.
-    pub store_sfc_conflicts: u64,
-    /// Loads replayed on SFC corruption.
-    pub load_corrupt: u64,
-    /// Loads replayed on SFC partial matches (replay policy only).
-    pub load_partial: u64,
-    /// Loads replayed waiting for older stores (oracle/no-spec backends).
-    pub order_waits: u64,
+aim_types::record! {
+    /// Why memory instructions were dropped and replayed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReplayCounts {
+        /// Loads replayed on MDT set conflicts.
+        pub load_mdt_conflicts: u64,
+        /// Stores replayed on MDT set conflicts.
+        pub store_mdt_conflicts: u64,
+        /// Stores replayed on SFC set conflicts.
+        pub store_sfc_conflicts: u64,
+        /// Loads replayed on SFC corruption.
+        pub load_corrupt: u64,
+        /// Loads replayed on SFC partial matches (replay policy only).
+        pub load_partial: u64,
+        /// Loads replayed waiting for older stores (oracle/no-spec backends).
+        pub order_waits: u64,
+    }
 }
 
 impl ReplayCounts {
@@ -77,17 +79,19 @@ impl ReplayCounts {
     }
 }
 
-/// Pipeline-flush counts by cause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlushCounts {
-    /// Branch misprediction recoveries.
-    pub branch: u64,
-    /// True dependence violation recoveries.
-    pub true_dep: u64,
-    /// Anti dependence violation recoveries.
-    pub anti_dep: u64,
-    /// Output dependence violation recoveries.
-    pub output_dep: u64,
+aim_types::record! {
+    /// Pipeline-flush counts by cause.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FlushCounts {
+        /// Branch misprediction recoveries.
+        pub branch: u64,
+        /// True dependence violation recoveries.
+        pub true_dep: u64,
+        /// Anti dependence violation recoveries.
+        pub anti_dep: u64,
+        /// Output dependence violation recoveries.
+        pub output_dep: u64,
+    }
 }
 
 impl FlushCounts {
@@ -102,40 +106,42 @@ impl FlushCounts {
     }
 }
 
-/// Host-side measurement of the simulation run itself (as opposed to the
-/// simulated machine): wall-clock time and allocation-tracking counters.
-///
-/// Everything here depends on the host and is *not* deterministic; code
-/// comparing runs for reproducibility should compare
-/// [`SimStats::with_zeroed_host`] results instead of raw stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HostPerf {
-    /// Wall-clock nanoseconds spent inside the cycle loop.
-    pub wall_ns: u64,
-    /// Event-trace strings actually formatted. Zero whenever
-    /// `SimConfig::event_trace` is off — the regression test for the
-    /// allocation-free hot path asserts exactly that.
-    pub event_strings_built: u64,
-}
+aim_types::record! {
+    /// Host-side measurement of the simulation run itself (as opposed to the
+    /// simulated machine): wall-clock time and allocation-tracking counters.
+    ///
+    /// Everything here depends on the host and is *not* deterministic; code
+    /// comparing runs for reproducibility should compare
+    /// [`SimStats::with_zeroed_host`] results instead of raw stats.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct HostPerf {
+        /// Wall-clock nanoseconds spent inside the cycle loop.
+        pub wall_ns: u64,
+        /// Event-trace strings actually formatted. Zero whenever
+        /// `SimConfig::event_trace` is off — the regression test for the
+        /// allocation-free hot path asserts exactly that.
+        pub event_strings_built: u64,
+    }
 
-/// Coverage record of a sampled (fast-forward) run: how much of the program
-/// ran functionally vs cycle-accurately. Present on [`SimStats::sampled`]
-/// only when the run sampled, in which case the whole-run event counters and
-/// cycle count are *extrapolated* from the detailed windows (see
-/// [`SimStats::extrapolate`]); the retired-instruction counts are always
-/// exact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SampledStats {
-    /// Detailed windows actually completed (≤ the configured `periods`:
-    /// short programs can end mid-schedule).
-    pub periods_run: u32,
-    /// Instructions retired by the functional warm-up engine.
-    pub warm_retired: u64,
-    /// Instructions retired inside detailed cycle-accurate windows.
-    pub detail_retired: u64,
-    /// Machine cycles spent inside detailed windows (the timing sample the
-    /// whole-run cycle count scales up from).
-    pub detail_cycles: u64,
+    /// Coverage record of a sampled (fast-forward) run: how much of the program
+    /// ran functionally vs cycle-accurately. Present on [`SimStats::sampled`]
+    /// only when the run sampled, in which case the whole-run event counters and
+    /// cycle count are *extrapolated* from the detailed windows (see
+    /// [`SimStats::extrapolate`]); the retired-instruction counts are always
+    /// exact.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SampledStats {
+        /// Detailed windows actually completed (≤ the configured `periods`:
+        /// short programs can end mid-schedule).
+        pub periods_run: u32,
+        /// Instructions retired by the functional warm-up engine.
+        pub warm_retired: u64,
+        /// Instructions retired inside detailed cycle-accurate windows.
+        pub detail_retired: u64,
+        /// Machine cycles spent inside detailed windows (the timing sample the
+        /// whole-run cycle count scales up from).
+        pub detail_cycles: u64,
+    }
 }
 
 impl SampledStats {
@@ -146,107 +152,68 @@ impl SampledStats {
     }
 }
 
-/// Everything a simulation run measured.
-#[derive(Clone, Default)]
-pub struct SimStats {
-    /// Executed machine cycles.
-    pub cycles: u64,
-    /// Retired (committed) instructions.
-    pub retired: u64,
-    /// Retired loads.
-    pub retired_loads: u64,
-    /// Retired stores.
-    pub retired_stores: u64,
-    /// Instructions fetched (including wrong-path).
-    pub fetched: u64,
-    /// Instructions dispatched into the window.
-    pub dispatched: u64,
-    /// Instructions issued to function units (includes replays).
-    pub issued: u64,
-    /// Instructions squashed by recoveries.
-    pub squashed: u64,
-    /// Dynamic loads that executed (attempts, including replays).
-    pub load_executions: u64,
-    /// Dynamic stores that executed (attempts, including replays).
-    pub store_executions: u64,
-    /// Loads forwarded in full from the SFC or store queue.
-    pub loads_forwarded: u64,
-    /// Head-of-ROB bypasses of the MDT/SFC (§2.2 lockup avoidance).
-    pub head_bypasses: u64,
-    /// Loads that skipped the MDT via the §4 search filter.
-    pub mdt_filtered_loads: u64,
-    /// Dispatch stall causes.
-    pub dispatch_stalls: DispatchStalls,
-    /// Replay causes.
-    pub replays: ReplayCounts,
-    /// Flush causes.
-    pub flushes: FlushCounts,
-    /// Conditional branches retired.
-    pub branches_retired: u64,
-    /// Conditional branch mispredicts (effective, after oracle).
-    pub branch_mispredicts: u64,
-    /// Counters from whichever memory-ordering backend ran — exactly one
-    /// variant is populated, so reports never carry the other backends'
-    /// fields as misleading nulls.
-    pub backend: BackendStats,
-    /// Gshare accuracy.
-    pub gshare: GshareStats,
-    /// Producer-set predictor counters.
-    pub dep_predictor: PredictorStats,
-    /// (L1I, L1D, L2) cache counters.
-    pub caches: (CacheStats, CacheStats, CacheStats),
-    /// Far-memory tier counters — populated only when the config carries a
-    /// [`MemSpec::far`](aim_mem::MemSpec::far) tier. In a multi-core run
-    /// the tier is shared, so every core reports the same aggregate.
-    pub far: Option<FarStats>,
-    /// Sampled-run coverage — populated only when the config carries a
-    /// [`SampleSpec`](aim_types::SampleSpec), in which case the event
-    /// counters and cycle count above are extrapolated from the detailed
-    /// windows (retired counts stay exact).
-    pub sampled: Option<SampledStats>,
-    /// Host-side throughput measurement (non-deterministic; see
-    /// [`HostPerf`]).
-    pub host: HostPerf,
-}
-
-/// **Compatibility contract** (the hostperf differential gate fingerprints
-/// `Debug` text of zeroed-host stats): a run without a far tier renders
-/// byte-identically to the pre-far derived output — the `far` field is
-/// printed only when populated, in which case the stats describe a machine
-/// that could not previously be configured, so a new fingerprint is
-/// correct.
-impl fmt::Debug for SimStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("SimStats");
-        d.field("cycles", &self.cycles)
-            .field("retired", &self.retired)
-            .field("retired_loads", &self.retired_loads)
-            .field("retired_stores", &self.retired_stores)
-            .field("fetched", &self.fetched)
-            .field("dispatched", &self.dispatched)
-            .field("issued", &self.issued)
-            .field("squashed", &self.squashed)
-            .field("load_executions", &self.load_executions)
-            .field("store_executions", &self.store_executions)
-            .field("loads_forwarded", &self.loads_forwarded)
-            .field("head_bypasses", &self.head_bypasses)
-            .field("mdt_filtered_loads", &self.mdt_filtered_loads)
-            .field("dispatch_stalls", &self.dispatch_stalls)
-            .field("replays", &self.replays)
-            .field("flushes", &self.flushes)
-            .field("branches_retired", &self.branches_retired)
-            .field("branch_mispredicts", &self.branch_mispredicts)
-            .field("backend", &self.backend)
-            .field("gshare", &self.gshare)
-            .field("dep_predictor", &self.dep_predictor)
-            .field("caches", &self.caches);
-        if self.far.is_some() {
-            d.field("far", &self.far);
-        }
-        if self.sampled.is_some() {
-            d.field("sampled", &self.sampled);
-        }
-        d.field("host", &self.host).finish()
+aim_types::record! {
+    /// Everything a simulation run measured.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct SimStats {
+        /// Executed machine cycles.
+        pub cycles: u64,
+        /// Retired (committed) instructions.
+        pub retired: u64,
+        /// Retired loads.
+        pub retired_loads: u64,
+        /// Retired stores.
+        pub retired_stores: u64,
+        /// Instructions fetched (including wrong-path).
+        pub fetched: u64,
+        /// Instructions dispatched into the window.
+        pub dispatched: u64,
+        /// Instructions issued to function units (includes replays).
+        pub issued: u64,
+        /// Instructions squashed by recoveries.
+        pub squashed: u64,
+        /// Dynamic loads that executed (attempts, including replays).
+        pub load_executions: u64,
+        /// Dynamic stores that executed (attempts, including replays).
+        pub store_executions: u64,
+        /// Loads forwarded in full from the SFC or store queue.
+        pub loads_forwarded: u64,
+        /// Head-of-ROB bypasses of the MDT/SFC (§2.2 lockup avoidance).
+        pub head_bypasses: u64,
+        /// Loads that skipped the MDT via the §4 search filter.
+        pub mdt_filtered_loads: u64,
+        /// Dispatch stall causes.
+        pub dispatch_stalls: DispatchStalls,
+        /// Replay causes.
+        pub replays: ReplayCounts,
+        /// Flush causes.
+        pub flushes: FlushCounts,
+        /// Conditional branches retired.
+        pub branches_retired: u64,
+        /// Conditional branch mispredicts (effective, after oracle).
+        pub branch_mispredicts: u64,
+        /// Counters from whichever memory-ordering backend ran — exactly one
+        /// variant is populated, so reports never carry the other backends'
+        /// fields as misleading nulls.
+        pub backend: BackendStats,
+        /// Gshare accuracy.
+        pub gshare: GshareStats,
+        /// Producer-set predictor counters.
+        pub dep_predictor: PredictorStats,
+        /// (L1I, L1D, L2) cache counters.
+        pub caches: (CacheStats, CacheStats, CacheStats),
+        /// Far-memory tier counters — populated only when the config carries a
+        /// [`MemSpec::far`](aim_mem::MemSpec::far) tier. In a multi-core run
+        /// the tier is shared, so every core reports the same aggregate.
+        pub far: Option<FarStats>,
+        /// Sampled-run coverage — populated only when the config carries a
+        /// [`SampleSpec`](aim_types::SampleSpec), in which case the event
+        /// counters and cycle count above are extrapolated from the detailed
+        /// windows (retired counts stay exact).
+        pub sampled: Option<SampledStats>,
+        /// Host-side throughput measurement (non-deterministic; see
+        /// [`HostPerf`]).
+        pub host: HostPerf,
     }
 }
 
@@ -412,51 +379,49 @@ mod tests {
         assert_eq!(s.replays.total(), 86);
     }
 
+    fn record_keys(s: &SimStats) -> Vec<String> {
+        use aim_types::record::Record;
+        s.write().keys().map(str::to_string).collect()
+    }
+
     #[test]
     fn debug_omits_far_until_populated() {
-        // The fingerprint-compatibility contract: far-less stats must render
-        // exactly as before the field existed.
-        let s = SimStats::default();
-        let text = format!("{s:?}");
-        assert!(!text.contains("far"), "{text}");
-        assert!(text.contains("caches: ") && text.contains("host: "), "{text}");
-        let with_far = SimStats {
-            far: Some(FarStats {
-                accesses: 3,
-                ..FarStats::default()
-            }),
+        // The stats record is the rendered form: far-less stats carry no
+        // `far` keys at all, so their rendering is unchanged by the field.
+        use aim_types::record::Record;
+        let plain = record_keys(&SimStats::default());
+        assert!(!plain.iter().any(|k| k.starts_with("far")));
+        let with = SimStats {
+            far: Some(FarStats { accesses: 3, ..FarStats::default() }),
             ..SimStats::default()
         };
-        let text = format!("{with_far:?}");
-        assert!(text.contains("far: Some(FarStats { accesses: 3"), "{text}");
-        // Field order around the optional field is preserved.
-        let caches = text.find("caches: ").unwrap();
-        let far = text.find("far: ").unwrap();
-        let host = text.find("host: ").unwrap();
-        assert!(caches < far && far < host);
+        let full = record_keys(&with);
+        // The far section sits between the caches and the host clock.
+        let at = |key: &str| full.iter().position(|k| k == key).unwrap();
+        assert!(at("caches.2.misses") < at("far.accesses"));
+        assert!(at("far.peak_inflight") < at("host.wall_ns"));
+        assert_eq!(full.len(), plain.len() + 5);
+        assert_eq!(SimStats::read(&with.write()), Ok(with));
     }
 
     #[test]
     fn debug_omits_sampled_until_populated() {
-        // Same fingerprint contract as `far`: a non-sampled run renders
-        // exactly as before the field existed.
-        let s = SimStats::default();
-        assert!(!format!("{s:?}").contains("sampled"));
+        // Same contract as `far`: a non-sampled run renders no `sampled` keys.
+        use aim_types::record::Record;
+        let plain = record_keys(&SimStats::default());
+        assert!(!plain.iter().any(|k| k.starts_with("sampled")));
         let with = SimStats {
-            far: Some(FarStats::default()),
-            sampled: Some(SampledStats {
-                periods_run: 2,
-                warm_retired: 900,
-                detail_retired: 100,
-                detail_cycles: 50,
-            }),
+            far: Some(FarStats { accesses: 3, ..FarStats::default() }),
+            sampled: Some(SampledStats { periods_run: 2, ..SampledStats::default() }),
             ..SimStats::default()
         };
-        let text = format!("{with:?}");
-        let far = text.find("far: ").unwrap();
-        let sampled = text.find("sampled: Some(SampledStats").unwrap();
-        let host = text.find("host: ").unwrap();
-        assert!(far < sampled && sampled < host, "{text}");
+        let full = record_keys(&with);
+        // The sampled section follows the far section, before the host clock.
+        let at = |key: &str| full.iter().position(|k| k == key).unwrap();
+        assert!(at("far.peak_inflight") < at("sampled.periods_run"));
+        assert!(at("sampled.detail_cycles") < at("host.wall_ns"));
+        assert_eq!(full.len(), plain.len() + 5 + 4);
+        assert_eq!(SimStats::read(&with.write()), Ok(with));
     }
 
     #[test]

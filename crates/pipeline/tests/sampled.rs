@@ -230,5 +230,5 @@ fn sampled_runs_are_deterministic() {
     let mut sb = b.stats;
     sa.host = Default::default();
     sb.host = Default::default();
-    assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
+    assert_eq!(sa, sb);
 }

@@ -3,13 +3,15 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Prediction accuracy counters for a [`Gshare`] predictor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GshareStats {
-    /// Branches whose retirement outcome matched the effective prediction.
-    pub correct: u64,
-    /// Branches whose retirement outcome did not.
-    pub incorrect: u64,
+aim_types::record! {
+    /// Prediction accuracy counters for a [`Gshare`] predictor.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct GshareStats {
+        /// Branches whose retirement outcome matched the effective prediction.
+        pub correct: u64,
+        /// Branches whose retirement outcome did not.
+        pub incorrect: u64,
+    }
 }
 
 impl GshareStats {

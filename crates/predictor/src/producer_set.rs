@@ -107,21 +107,23 @@ pub struct DepHints {
     pub produces: Option<DepTag>,
 }
 
-/// Training / effectiveness counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictorStats {
-    /// Violations reported to the predictor (after mode filtering).
-    pub arcs_inserted: u64,
-    /// Violations ignored because of the enforcement mode.
-    pub arcs_filtered: u64,
-    /// Dispatches that produced a tag.
-    pub producers_dispatched: u64,
-    /// Dispatches that consumed a tag.
-    pub consumers_dispatched: u64,
-    /// Producer-set merges.
-    pub merges: u64,
-    /// Cyclic table clearings performed.
-    pub clears: u64,
+aim_types::record! {
+    /// Training / effectiveness counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PredictorStats {
+        /// Violations reported to the predictor (after mode filtering).
+        pub arcs_inserted: u64,
+        /// Violations ignored because of the enforcement mode.
+        pub arcs_filtered: u64,
+        /// Dispatches that produced a tag.
+        pub producers_dispatched: u64,
+        /// Dispatches that consumed a tag.
+        pub consumers_dispatched: u64,
+        /// Producer-set merges.
+        pub merges: u64,
+        /// Cyclic table clearings performed.
+        pub clears: u64,
+    }
 }
 
 /// The producer-set predictor: producer table (PT), consumer table (CT) and

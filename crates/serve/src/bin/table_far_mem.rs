@@ -17,25 +17,20 @@
 //!
 //! Unlike the other sweep binaries, the matrix does not run through
 //! `aim_bench::run_matrix`: every cell is a wire `JobSpec` submitted to a
-//! shared local [`Server`] over framed connections, then the whole matrix
-//! is replayed and must be answered entirely from the content-addressed
-//! cache with zero simulations. Point `$AIM_SERVE_CACHE` at a persistent
-//! directory and the cells stay warm across invocations — and for any
-//! other client (the CLI's `submit --machine huge --far …`) naming the
-//! same cell through the extended `JobSpec` surface.
+//! shared local server over framed connections ([`serve_matrix`]), then
+//! the whole matrix is replayed and must be answered entirely from the
+//! content-addressed cache with zero simulations. Point `$AIM_SERVE_CACHE`
+//! at a persistent directory and the cells stay warm across invocations —
+//! and for any other client (the CLI's `submit --machine huge --far …`)
+//! naming the same cell through the extended `JobSpec` surface.
 //!
 //! Alongside the human-readable tables, the run emits the stable
 //! `aim-farmem-report/v1` JSON (`BENCH_farmem.json`).
 
-use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, scale_from_args, specs, CsvTable, FarMemReport,
-    FarMemRow, Report,
-};
-use aim_serve::{farmem_configs, parse_far_stats, run_cells, JobResponse, JobSpec, Server};
+use aim_bench::{jobs_from_args, rule, scale_from_args, specs, FarMemReport, FarMemRow, Report};
+use aim_serve::{farmem_configs, serve_matrix, JobSpec};
 use aim_types::geomean;
 use aim_workloads::{Scale, Suite};
-use std::path::PathBuf;
-use std::sync::Arc;
 
 /// The four (machine class, far latency) cells, in config-list order.
 const CELLS: &[(&str, u64)] = &[("aggr", 200), ("aggr", 800), ("huge", 200), ("huge", 800)];
@@ -43,14 +38,6 @@ const CELLS: &[(&str, u64)] = &[("aggr", 200), ("aggr", 800), ("huge", 200), ("h
 /// Backend columns per cell: no-spec, the buildable 120×80 CAM, the
 /// 256×256 upper-bound CAM (normalization base), SFC/MDT, PCAX, oracle.
 const COLS: usize = 6;
-
-fn ipc(resp: &JobResponse) -> f64 {
-    if resp.cycles == 0 {
-        0.0
-    } else {
-        resp.retired as f64 / resp.cycles as f64
-    }
-}
 
 #[allow(clippy::too_many_lines)]
 fn main() {
@@ -65,55 +52,19 @@ fn main() {
         .filter(|w| !spec.skip.contains(&w.name))
         .map(|w| (w.name, w.suite))
         .collect();
-    let cache_dir = std::env::var("AIM_SERVE_CACHE").map(PathBuf::from).unwrap_or_else(|_| {
-        std::env::temp_dir().join(format!("aim_farmem_cache_{}", std::process::id()))
-    });
-    let server = Arc::new(Server::new(&cache_dir, jobs).expect("serve cache dir"));
     let cells: Vec<JobSpec> = workloads
         .iter()
         .flat_map(|(name, _)| configs.iter().map(|(_, c)| c.job(name, scale)))
         .collect();
+    let served =
+        serve_matrix("farmem", &cells, configs.len(), jobs).unwrap_or_else(|e| panic!("{e}"));
+    let stats = |w: usize, k: usize| served.stats.get(w, k);
 
-    // Round 1: the matrix through the shared local server (cells already
-    // cached by an earlier run against the same directory stay warm).
-    let before = server.counters();
-    let cold = run_cells(&server, &cells, jobs, false).expect("matrix round");
-    let mid = server.counters();
-    // Round 2: replay the whole matrix; every cell must come back from
-    // the cache, byte-identical, with zero simulations.
-    let warm = run_cells(&server, &cells, jobs, false).expect("replay round");
-    let after = server.counters();
-    let cold_sims = mid.sims_run - before.sims_run;
-    let warm_sims = after.sims_run - mid.sims_run;
-    let warm_hits = after.cache_hits - mid.cache_hits;
-    let diverging =
-        warm.iter().zip(&cold).filter(|(w, c)| w.stats_text != c.stats_text).count();
-    assert_eq!(warm_sims, 0, "warm replay ran simulations on a warm cache");
-    assert_eq!(warm_hits as usize, cells.len(), "warm replay missed the cache");
-    assert_eq!(diverging, 0, "warm replay diverged byte-wise from the first round");
-
-    let resp = |w: usize, k: usize| &cold[w * configs.len() + k];
     let mut rows = Vec::new();
     let mut bracket_misses: Vec<String> = Vec::new();
     // Per huge cell: (cam, sfc, pcax) retention vs the 256×256 upper
     // bound, for the scaling acceptance claim.
     let mut huge_rets: Vec<(f64, f64, f64)> = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "workload",
-        "suite",
-        "machine",
-        "window",
-        "far_latency",
-        "lsq_ipc",
-        "nospec_norm",
-        "cam_norm",
-        "sfc_mdt_norm",
-        "pcax_norm",
-        "oracle_norm",
-        "cam_gap_closed",
-        "sfc_gap_closed",
-        "pcax_gap_closed",
-    ]);
 
     for (c, &(tag, lat)) in CELLS.iter().enumerate() {
         let base = c * COLS;
@@ -132,8 +83,8 @@ fn main() {
         let mut gap_rows: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut norm_rows: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for (w, &(name, suite)) in workloads.iter().enumerate() {
-            let lsq_ipc = ipc(resp(w, base + 2));
-            let norm = |k: usize| ipc(resp(w, base + k)) / lsq_ipc;
+            let lsq_ipc = stats(w, base + 2).ipc();
+            let norm = |k: usize| stats(w, base + k).ipc() / lsq_ipc;
             let (nospec, cam, sfc, pcax, oracle) =
                 (norm(0), norm(1), norm(3), norm(4), norm(5));
             let gap = oracle - nospec;
@@ -159,8 +110,7 @@ fn main() {
                     bracket_misses.push(format!("{tag}-far{lat}/{name}/{label}"));
                 }
             }
-            let far = parse_far_stats(&resp(w, base + 3).stats_text)
-                .expect("far-tier cell carries far stats");
+            let far = stats(w, base + 3).far.expect("far-tier cell carries far stats");
             gap_rows[0].push(cam_closed);
             gap_rows[1].push(sfc_closed);
             gap_rows[2].push(pcax_closed);
@@ -168,22 +118,6 @@ fn main() {
             norm_rows[1].push(sfc);
             norm_rows[2].push(pcax);
             let suite_tok = suite.to_string();
-            csv.row(&[
-                name.to_string(),
-                suite_tok.clone(),
-                tag.to_string(),
-                window.to_string(),
-                lat.to_string(),
-                format!("{lsq_ipc:.4}"),
-                format!("{nospec:.4}"),
-                format!("{cam:.4}"),
-                format!("{sfc:.4}"),
-                format!("{pcax:.4}"),
-                format!("{oracle:.4}"),
-                format!("{cam_closed:.1}"),
-                format!("{sfc_closed:.1}"),
-                format!("{pcax_closed:.1}"),
-            ]);
             rows.push(FarMemRow {
                 workload: name.to_string(),
                 suite: suite_tok.clone(),
@@ -238,29 +172,17 @@ fn main() {
         }
     }
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = FarMemReport {
         artifact: spec.artifact.to_string(),
         scale,
-        workers: server.workers(),
-        cold_sims,
-        warm_hits,
-        warm_sims,
+        workers: served.workers,
+        cold_sims: served.cold.sims_run,
+        warm_hits: served.warm.cache_hits,
+        warm_sims: served.warm.sims_run,
         rows,
     };
     report.publish("farmem");
-    println!(
-        "serve: matrix cached under {} — first round {} simulations, replay {}/{} cells warm \
-         ({} simulations)",
-        cache_dir.display(),
-        cold_sims,
-        warm_hits,
-        cells.len(),
-        warm_sims
-    );
+    println!("{}", served.summary());
 
     assert!(
         bracket_misses.is_empty(),

@@ -18,11 +18,12 @@
 //! instruction-by-instruction against the same golden trace, so any
 //! architectural divergence fails the run outright.
 //!
-//! Every cell is a wire `JobSpec` submitted to a shared local [`Server`]
-//! over framed connections: a sampled cell and its full-detail twin are
-//! distinct content-addressed cache entries (the `sample` field flips the
-//! canonical-config key), and the whole matrix replayed warm must be
-//! answered from the cache with zero simulations, byte-identically.
+//! Every cell is a wire `JobSpec` submitted to a shared local server over
+//! framed connections ([`serve_matrix`]): a sampled cell and its
+//! full-detail twin are distinct content-addressed cache entries (the
+//! `sample` field flips the canonical-config key), and the whole matrix
+//! replayed warm must be answered from the cache with zero simulations,
+//! byte-identically.
 //! Wall-clock is measured on local in-process reruns of both
 //! configurations, not on the (parallel, possibly cached) server rounds;
 //! the local full-detail rerun must also reproduce the server's cycle
@@ -31,18 +32,10 @@
 //! Alongside the human-readable table, the run emits the stable
 //! `aim-sampled-report/v1` JSON (`BENCH_sampled.json`).
 
-use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, scale_from_args, CsvTable, Report, SampledReport,
-    SampledRow,
-};
+use aim_bench::{jobs_from_args, rule, scale_from_args, Report, SampledReport, SampledRow};
 use aim_pipeline::{BackendChoice, FarSpec, MachineClass};
-use aim_serve::{
-    parse_sampled_stats, run_cells, sampled_policy, ConfigSpec, JobResponse, JobSpec, Server,
-    SAMPLE_PERIODS,
-};
+use aim_serve::{sampled_policy, serve_matrix, ConfigSpec, JobSpec, SAMPLE_PERIODS};
 use aim_workloads::Scale;
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The studied configuration: the far-tier latency every cell runs
@@ -56,14 +49,6 @@ const FAR_LATENCY: u64 = 800;
 /// worst case of the tuned policy is −6.6% (see `EXPERIMENTS.md`
 /// T-SAMPLE); 10% holds margin without hiding a regressed estimator.
 const TOLERANCE_PCT: f64 = 10.0;
-
-fn ipc(resp: &JobResponse) -> f64 {
-    if resp.cycles == 0 {
-        0.0
-    } else {
-        resp.retired as f64 / resp.cycles as f64
-    }
-}
 
 #[allow(clippy::too_many_lines)]
 fn main() {
@@ -91,30 +76,11 @@ fn main() {
         })
         .collect();
 
-    let cache_dir = std::env::var("AIM_SERVE_CACHE").map(PathBuf::from).unwrap_or_else(|_| {
-        std::env::temp_dir().join(format!("aim_sampled_cache_{}", std::process::id()))
-    });
-    let server = Arc::new(Server::new(&cache_dir, jobs).expect("serve cache dir"));
-
-    // Round 1: the matrix through the shared local server. Full and
-    // sampled cells must be distinct cache entries — default-off sampling
+    // The matrix through a shared local server, then replayed warm. Full
+    // and sampled cells are distinct cache entries — default-off sampling
     // means the full cells' keys are byte-identical to every other
     // client's unsampled submissions.
-    let before = server.counters();
-    let cold = run_cells(&server, &cells, jobs, false).expect("matrix round");
-    let mid = server.counters();
-    // Round 2: replay the whole matrix; every cell must come back from
-    // the cache, byte-identical, with zero simulations.
-    let warm = run_cells(&server, &cells, jobs, false).expect("replay round");
-    let after = server.counters();
-    let cold_sims = mid.sims_run - before.sims_run;
-    let warm_sims = after.sims_run - mid.sims_run;
-    let warm_hits = after.cache_hits - mid.cache_hits;
-    let diverging =
-        warm.iter().zip(&cold).filter(|(w, c)| w.stats_text != c.stats_text).count();
-    assert_eq!(warm_sims, 0, "warm replay ran simulations on a warm cache");
-    assert_eq!(warm_hits as usize, cells.len(), "warm replay missed the cache");
-    assert_eq!(diverging, 0, "warm replay diverged byte-wise from the first round");
+    let served = serve_matrix("sampled", &cells, 2, jobs).unwrap_or_else(|e| panic!("{e}"));
 
     println!(
         "sampled convergence — huge machine ({window}-entry window), far latency {FAR_LATENCY}, \
@@ -132,32 +98,18 @@ fn main() {
     let mut misses: Vec<String> = Vec::new();
     let mut worst = 0.0f64;
     let (mut full_wall, mut samp_wall) = (0u64, 0u64);
-    let mut csv = CsvTable::new(&[
-        "workload",
-        "suite",
-        "trace_len",
-        "full_ipc",
-        "sampled_ipc",
-        "err_pct",
-        "periods_run",
-        "detail_pct",
-        "full_wall_ns",
-        "sampled_wall_ns",
-        "speedup",
-    ]);
 
     for (w, p) in prepared.iter().enumerate() {
-        let (full_resp, samp_resp) = (&cold[2 * w], &cold[2 * w + 1]);
+        let (full, samp) = (served.stats.get(w, 0), served.stats.get(w, 1));
         let policy = sampled_policy(p.trace.len() as u64);
-        let (full_ipc, samp_ipc) = (ipc(full_resp), ipc(samp_resp));
+        let (full_ipc, samp_ipc) = (full.ipc(), samp.ipc());
         let err = 100.0 * (samp_ipc - full_ipc) / full_ipc;
         if err.abs() > worst.abs() {
             worst = err;
         }
-        let sampled = parse_sampled_stats(&samp_resp.stats_text)
-            .expect("sampled cell carries coverage stats");
+        let sampled = samp.sampled.expect("sampled cell carries coverage stats");
         assert!(
-            parse_sampled_stats(&full_resp.stats_text).is_none(),
+            full.sampled.is_none(),
             "{}: full-detail cell carries sampled stats — the cache keys collided",
             p.name
         );
@@ -183,13 +135,13 @@ fn main() {
         let sw = t0.elapsed().as_nanos() as u64;
         assert_eq!(
             (local_full.cycles, local_full.retired),
-            (full_resp.cycles, full_resp.retired),
+            (full.cycles, full.retired),
             "{}: local full-detail rerun diverged from the served result",
             p.name
         );
         assert_eq!(
             (local_samp.cycles, local_samp.retired),
-            (samp_resp.cycles, samp_resp.retired),
+            (samp.cycles, samp.retired),
             "{}: local sampled rerun diverged from the served result",
             p.name
         );
@@ -214,22 +166,9 @@ fn main() {
             sw as f64 / 1e6,
             speedup
         );
-        csv.row(&[
-            p.name.to_string(),
-            suite_tok.clone(),
-            p.trace.len().to_string(),
-            format!("{full_ipc:.4}"),
-            format!("{samp_ipc:.4}"),
-            format!("{err:.2}"),
-            sampled.periods_run.to_string(),
-            format!("{detail_pct:.2}"),
-            fw.to_string(),
-            sw.to_string(),
-            format!("{speedup:.2}"),
-        ]);
         rows.push(SampledRow {
             workload: p.name.to_string(),
-            suite: suite_tok.clone(),
+            suite: suite_tok,
             trace_len: p.trace.len() as u64,
             warm_insts: policy.warm_insts,
             detail_insts: policy.detail_insts,
@@ -253,17 +192,13 @@ fn main() {
     );
     rule(118);
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = SampledReport {
         artifact: "table_sampled".to_string(),
         scale,
-        workers: server.workers(),
-        cold_sims,
-        warm_hits,
-        warm_sims,
+        workers: served.workers,
+        cold_sims: served.cold.sims_run,
+        warm_hits: served.warm.cache_hits,
+        warm_sims: served.warm.sims_run,
         machine: "huge".to_string(),
         window,
         far_latency: FAR_LATENCY,
@@ -272,15 +207,7 @@ fn main() {
         rows,
     };
     report.publish("sampled");
-    println!(
-        "serve: matrix cached under {} — first round {} simulations, replay {}/{} cells warm \
-         ({} simulations)",
-        cache_dir.display(),
-        cold_sims,
-        warm_hits,
-        cells.len(),
-        warm_sims
-    );
+    println!("{}", served.summary());
 
     // The differential acceptance claims hold where the policy is sized
     // to operate: `Scale::Huge` traces, where each period spans hundreds

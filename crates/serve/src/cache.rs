@@ -4,13 +4,19 @@
 //! small text header and the canonical statistics payload:
 //!
 //! ```text
-//! aim-serve-cache/v1
+//! aim-serve-cache/v2
 //! key <32 hex digits>
 //! cycles <u64>
 //! retired <u64>
 //! sum <16 hex digits>
-//! <canonical SimStats text — the rest of the file>
+//! <canonical SimStats record — the rest of the file>
 //! ```
+//!
+//! The payload is the statistics record ([`aim_bench::stats_text`]): the
+//! flat JSON of every `SimStats` counter with the host clock zeroed, which
+//! [`CacheEntry::stats`] reads back into a typed `SimStats`. Schema `v1`
+//! entries carried the retired `Debug` text instead; they fail the schema
+//! line, read as [`Lookup::Corrupt`], and are recomputed.
 //!
 //! The `sum` line is an FNV-1a checksum over the headline counters and
 //! the payload, so a truncated write, a flipped bit, or a hand-edited
@@ -22,13 +28,16 @@
 //! bytes intact — which is safe precisely because the content address
 //! makes both writers' bytes identical.
 
-use aim_bench::{fingerprint_text, CacheKey};
+use aim_bench::{fingerprint_text, stats_text, CacheKey};
+use aim_pipeline::SimStats;
+use aim_types::record::Record;
+use aim_types::wire::WireMsg;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The entry format's schema line.
-const SCHEMA: &str = "aim-serve-cache/v1";
+const SCHEMA: &str = "aim-serve-cache/v2";
 
 /// One memoized simulation result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,20 +47,31 @@ pub struct CacheEntry {
     pub cycles: u64,
     /// Retired instructions (headline).
     pub retired: u64,
-    /// The canonical statistics text: the `Debug` rendering of the
-    /// [`SimStats`](aim_pipeline::SimStats) with its host-dependent
-    /// fields zeroed. Single line by construction.
+    /// The canonical statistics text: the
+    /// [`SimStats`](aim_pipeline::SimStats) record with its host-dependent
+    /// fields zeroed ([`aim_bench::stats_text`]). Single line by
+    /// construction.
     pub stats_text: String,
 }
 
 impl CacheEntry {
     /// Builds an entry from a finished simulation.
-    pub fn from_stats(stats: &aim_pipeline::SimStats) -> CacheEntry {
+    pub fn from_stats(stats: &SimStats) -> CacheEntry {
         CacheEntry {
             cycles: stats.cycles,
             retired: stats.retired,
-            stats_text: format!("{:?}", stats.with_zeroed_host()),
+            stats_text: stats_text(stats),
         }
+    }
+
+    /// The statistics, read back from the record (host fields zero).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message when the text is not a statistics
+    /// record.
+    pub fn stats(&self) -> Result<SimStats, String> {
+        read_stats(&self.stats_text)
     }
 
     /// The entry's statistics fingerprint
@@ -63,6 +83,14 @@ impl CacheEntry {
     fn checksum(&self) -> u64 {
         fingerprint_text(&format!("{}\n{}\n{}", self.cycles, self.retired, self.stats_text))
     }
+}
+
+/// Reads a canonical statistics text (a [`CacheEntry::stats_text`] or a
+/// response's `stats` field) back into typed statistics.
+pub(crate) fn read_stats(text: &str) -> Result<SimStats, String> {
+    WireMsg::parse(text)
+        .and_then(|msg| SimStats::read(&msg))
+        .map_err(|e| format!("statistics text: {e}"))
 }
 
 /// The outcome of a cache probe.
@@ -177,12 +205,12 @@ mod tests {
         DiskCache::open(&dir).unwrap()
     }
 
+    fn stats() -> SimStats {
+        SimStats { cycles: 1000, retired: 800, ..SimStats::default() }
+    }
+
     fn entry() -> CacheEntry {
-        CacheEntry {
-            cycles: 1000,
-            retired: 800,
-            stats_text: "SimStats { cycles: 1000, retired: 800 }".to_string(),
-        }
+        CacheEntry::from_stats(&stats())
     }
 
     #[test]
@@ -233,5 +261,13 @@ mod tests {
     fn fingerprint_matches_the_bench_helper() {
         let e = entry();
         assert_eq!(e.fingerprint(), aim_bench::fingerprint_text(&e.stats_text));
+        assert_eq!(e.fingerprint(), aim_bench::fingerprint_stats([&stats()]));
+    }
+
+    #[test]
+    fn entries_read_back_typed_statistics() {
+        assert_eq!(entry().stats(), Ok(stats()));
+        let bad = CacheEntry { stats_text: "SimStats { cycles: 1000 }".to_string(), ..entry() };
+        assert!(bad.stats().unwrap_err().contains("statistics text"));
     }
 }

@@ -27,17 +27,17 @@
 //! * `proto` — the job protocol: [`JobSpec`]/[`JobResponse`] and their
 //!   wire encodings;
 //! * `cache` — the checksummed on-disk entry store ([`DiskCache`]);
-//! * `farmem` — the `table_far_mem` request matrix and far-tier stats
-//!   decoder behind the cache-routed far-memory sweep binary
-//!   ([`farmem_configs`], [`parse_far_stats`]);
-//! * `sampled` — the per-kernel tiled sampling policy and sampled-stats
-//!   decoder behind the cache-routed sampled-convergence binary
-//!   ([`sampled_policy`], [`parse_sampled_stats`]);
+//! * `farmem` — the `table_far_mem` request matrix behind the
+//!   cache-routed far-memory sweep binary ([`farmem_configs`]);
+//! * `sampled` — the per-kernel tiled sampling policy behind the
+//!   cache-routed sampled-convergence binary ([`sampled_policy`]);
 //! * `server` — the worker pool, single-flight deduplication, and
 //!   request handling over any `Read + Write` stream ([`Server`]);
 //! * `sock` — Unix-socket and stdin/stdout transports;
 //! * `replay` — the cold/warm replay driver behind the
-//!   `aim-sim serve --replay` tier-1 gate ([`run_replay`]).
+//!   `aim-sim serve --replay` tier-1 gate ([`run_replay`]), and the
+//!   serve-twice harness the two cache-routed sweep binaries share
+//!   ([`serve_matrix`]).
 
 mod cache;
 mod farmem;
@@ -48,13 +48,14 @@ mod server;
 mod sock;
 
 pub use cache::{CacheEntry, DiskCache, Lookup};
-pub use farmem::{farmem_configs, parse_far_stats};
-pub use sampled::{
-    parse_sampled_stats, sampled_policy, SAMPLE_DETAIL_DIVISOR, SAMPLE_PERIODS,
-};
+pub use farmem::farmem_configs;
+pub use sampled::{sampled_policy, SAMPLE_DETAIL_DIVISOR, SAMPLE_PERIODS};
 pub use proto::{ConfigSpec, JobResponse, JobSpec, Source, VerifyOutcome};
-pub use replay::{hostperf_configs, run_cells, run_replay, ReplayOptions, ReplayOutcome};
-pub use server::{serve_connection, CounterSnapshot, Server};
+pub use replay::{
+    hostperf_configs, run_cells, run_replay, serve_matrix, ReplayOptions, ReplayOutcome,
+    ServedMatrix,
+};
+pub use server::{serve_connection, Server};
 pub use sock::{request_over, serve_stdio, StdioStream};
 #[cfg(unix)]
 pub use sock::{serve_unix, submit_unix};

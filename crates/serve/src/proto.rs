@@ -20,13 +20,17 @@
 //! [`crate::replay`] pins the correspondence), and the server derives the
 //! exact [`SimConfig`] through the same builder the experiment binaries
 //! use, so a spec means the same simulation everywhere.
+//!
+//! A [`JobResponse`] carries the statistics as the canonical record text
+//! ([`aim_bench::stats_text`]) in its `stats` string field, and
+//! [`JobResponse::stats`] reads it back as a typed `SimStats`.
 
 use std::fmt;
 use std::str::FromStr;
 
 use aim_pipeline::{
     BackendChoice, FarSpec, FilterConfig, LsqConfig, MachineClass, MemSpec, PcaxConfig,
-    SampleSpec, SetsWays, SimConfig,
+    SampleSpec, SetsWays, SimConfig, SimStats,
 };
 use aim_predictor::EnforceMode;
 use aim_types::token::parse_choice;
@@ -93,8 +97,7 @@ impl ConfigSpec {
     pub fn set(&mut self, key: &str, token: &str) -> Result<(), String> {
         match key {
             "machine" => self.machine = token.parse()?,
-            // `BackendChoice`'s own error omits the vocabulary; this one lists it.
-            "backend" => self.backend = parse_choice("backend", &BackendChoice::ALL, token)?,
+            "backend" => self.backend = token.parse()?,
             "mode" => self.mode = Some(token.parse()?),
             "lsq" => self.lsq = Some(token.parse()?),
             "pcax" => self.pcax = Some(token.parse()?),
@@ -336,14 +339,25 @@ pub struct JobResponse {
     /// FNV-1a fingerprint of the canonical statistics text
     /// ([`aim_bench::fingerprint_text`]).
     pub fingerprint: u64,
-    /// The canonical statistics text itself (the `Debug` rendering with
-    /// the host clock zeroed) — what byte-identity checks compare.
+    /// The canonical statistics text itself (the `SimStats` record with
+    /// the host clock zeroed, [`aim_bench::stats_text`]) — what
+    /// byte-identity checks compare and [`JobResponse::stats`] reads.
     pub stats_text: String,
     /// Verify outcome, when the request asked for verification.
     pub verify: Option<VerifyOutcome>,
 }
 
 impl JobResponse {
+    /// The statistics, read back from the record (host fields zero).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message when the text is not a statistics
+    /// record.
+    pub fn stats(&self) -> Result<SimStats, String> {
+        crate::cache::read_stats(&self.stats_text)
+    }
+
     /// Encodes the response.
     pub fn to_wire(&self) -> WireMsg {
         let mut msg = WireMsg::new();
@@ -528,18 +542,20 @@ mod tests {
 
     #[test]
     fn responses_round_trip_including_verify() {
+        let stats = SimStats { cycles: 123, retired: 456, ..SimStats::default() };
         let resp = JobResponse {
             key: "ab".repeat(16),
             source: Source::Cache,
             cycles: 123,
             retired: 456,
             fingerprint: 0xdead_beef,
-            stats_text: "SimStats { cycles: 123 }".to_string(),
+            stats_text: aim_bench::stats_text(&stats),
             verify: Some(VerifyOutcome::Match),
         };
         let back =
             JobResponse::from_wire(&WireMsg::parse(&resp.to_wire().to_json()).unwrap()).unwrap();
         assert_eq!(back, resp);
+        assert_eq!(back.stats(), Ok(stats));
     }
 
     #[test]
@@ -583,9 +599,5 @@ mod tests {
             .sample(SampleSpec::new(4_000, 1_000, 8).unwrap())
             .build();
         assert_eq!(format!("{cfg:?}"), format!("{expected:?}"));
-        // A far-less spec still renders the legacy hierarchy text, so its
-        // cache keys stay byte-compatible with the pre-far-tier server.
-        let legacy = ConfigSpec::new(MachineClass::Baseline, BackendChoice::Lsq).to_config();
-        assert!(format!("{legacy:?}").contains("HierarchyConfig {"));
     }
 }

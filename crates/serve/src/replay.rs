@@ -12,14 +12,16 @@
 //!
 //! The driver returns a [`ServeReport`] (`aim-serve-report/v1`) plus the
 //! consistency verdict; the CLI prints the `serve: cache-consistent`
-//! acceptance line `scripts/tier1.sh` greps.
+//! acceptance line `scripts/tier1.sh` greps. [`serve_matrix`] is the same
+//! cold round and warm check for any matrix, returning typed statistics:
+//! the `table_far_mem` and `table_sampled` sweeps run on it.
 //!
 //! [`duplex`]: aim_types::wire::duplex
 
 use crate::proto::{ConfigSpec, JobResponse, JobSpec, VerifyOutcome};
 use crate::server::{serve_connection, Server};
 use crate::sock::request_over;
-use aim_bench::{fingerprint_texts, ServeReport, ServeRound};
+use aim_bench::{fingerprint_texts, Matrix, ServeReport, ServeRound};
 use aim_pipeline::{BackendChoice, LsqConfig, MachineClass};
 use aim_predictor::EnforceMode;
 use aim_types::wire::duplex;
@@ -100,7 +102,7 @@ pub struct ReplayOutcome {
 /// Runs one round of `cells` through `clients` framed in-memory
 /// connections against a shared local server; returns the responses in
 /// cell order. This is the transport every cache-routed driver shares:
-/// the replay gate's rounds and the `table_far_mem` sweep both submit
+/// the replay gate's rounds and [`serve_matrix`]'s sweeps all submit
 /// their matrices through it, so a cell one binary simulated is a warm
 /// hit for the next.
 ///
@@ -151,6 +153,110 @@ pub fn run_cells(
     Ok(indexed.into_iter().map(|(_, r)| r).collect())
 }
 
+/// Runs one round of `cells` (see [`run_cells`]) and accounts it.
+fn round(
+    server: &Arc<Server>,
+    cells: &[JobSpec],
+    clients: usize,
+    verify: bool,
+    label: String,
+) -> Result<(Vec<JobResponse>, ServeRound), String> {
+    let before = server.counters();
+    let t0 = Instant::now();
+    let responses = run_cells(server, cells, clients, verify)?;
+    let after = server.counters();
+    let round = ServeRound {
+        label,
+        cells: cells.len() as u64,
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        sims_run: after.sims_run - before.sims_run,
+        cache_hits: after.cache_hits - before.cache_hits,
+    };
+    Ok((responses, round))
+}
+
+/// What is wrong with a warm round: every cell must be a cache hit,
+/// byte-identical to the cold round, with no simulation run.
+fn warm_findings(round: &ServeRound, warm: &[JobResponse], cold: &[JobResponse]) -> Vec<String> {
+    let label = &round.label;
+    let diverging = warm.iter().zip(cold).filter(|(w, c)| w.stats_text != c.stats_text).count();
+    let mut findings = Vec::new();
+    if round.sims_run != 0 {
+        findings.push(format!("{label}: {} simulations ran on a warm cache", round.sims_run));
+    }
+    if round.cache_hits != round.cells {
+        findings.push(format!("{label}: {} cache hits for {} requests", round.cache_hits, round.cells));
+    }
+    if diverging != 0 {
+        findings.push(format!("{label}: {diverging} cells differ byte-wise from the cold round"));
+    }
+    findings
+}
+
+/// A matrix served twice through a shared local server: the statistics,
+/// typed, plus what each round cost.
+#[derive(Debug, Clone)]
+pub struct ServedMatrix {
+    /// The first round's statistics, workload-major.
+    pub stats: Matrix,
+    /// The server's simulation workers.
+    pub workers: usize,
+    /// The cache directory the server used.
+    pub cache_dir: PathBuf,
+    /// The first round (cells cached by an earlier run against the same
+    /// directory are already warm).
+    pub cold: ServeRound,
+    /// The replay: all hits, no simulation.
+    pub warm: ServeRound,
+}
+
+impl ServedMatrix {
+    /// One line saying where the matrix is cached and what each round
+    /// cost.
+    pub fn summary(&self) -> String {
+        format!(
+            "serve: matrix cached under {} — first round {} simulations, replay {}/{} cells \
+             warm ({} simulations)",
+            self.cache_dir.display(),
+            self.cold.sims_run,
+            self.warm.cache_hits,
+            self.warm.cells,
+            self.warm.sims_run
+        )
+    }
+}
+
+/// Serves `cells` (workload-major, `n_configs` per workload) through a
+/// local server over `$AIM_SERVE_CACHE` — or, when that is unset, a fresh
+/// directory named after `tag` under the system temp dir — with `jobs`
+/// workers and clients, then replays them.
+///
+/// # Errors
+///
+/// Returns a one-line message for a server, protocol or simulation
+/// failure, or when the replay is not a byte-identical all-hit round.
+pub fn serve_matrix(
+    tag: &str,
+    cells: &[JobSpec],
+    n_configs: usize,
+    jobs: usize,
+) -> Result<ServedMatrix, String> {
+    let cache_dir = std::env::var("AIM_SERVE_CACHE").map(PathBuf::from).unwrap_or_else(|_| {
+        std::env::temp_dir().join(format!("aim_{tag}_cache_{}", std::process::id()))
+    });
+    let server =
+        Arc::new(Server::new(&cache_dir, jobs).map_err(|e| format!("serve cache dir: {e}"))?);
+    let (cold_responses, cold) = round(&server, cells, jobs, false, "cold".to_string())?;
+    let (warm_responses, warm) = round(&server, cells, jobs, false, "warm".to_string())?;
+    let findings = warm_findings(&warm, &warm_responses, &cold_responses);
+    if !findings.is_empty() {
+        return Err(findings.join("; "));
+    }
+    let stats = cold_responses.iter().map(JobResponse::stats).collect::<Result<_, _>>()?;
+    let stats = Matrix::from_cells(n_configs, stats);
+    Ok(ServedMatrix { stats, workers: server.workers(), cache_dir, cold, warm })
+}
+
 /// Replays the hostperf matrix per [`ReplayOptions`].
 ///
 /// # Errors
@@ -170,63 +276,27 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<ReplayOutcome, String> {
         .collect();
 
     let mut findings = Vec::new();
-    let mut rounds = Vec::new();
-    let mut cold_texts: Vec<String> = Vec::new();
-    let mut cold_wall = 0.0f64;
+    let (cold, cold_round) = round(&server, &cells, opts.clients, false, "cold".to_string())?;
+    if cold_round.sims_run != cold_round.cells {
+        findings.push(format!(
+            "cold round ran {} simulations for {} unique cells",
+            cold_round.sims_run,
+            cells.len()
+        ));
+    }
+    let cold_wall = cold_round.wall_seconds;
     let mut slowest_warm = 0.0f64;
-
-    for round in 0..opts.rounds.max(1) {
-        let before = server.counters();
-        let t0 = Instant::now();
-        let responses = run_cells(&server, &cells, opts.clients, false)?;
-        let wall = t0.elapsed().as_secs_f64();
-        let after = server.counters();
-        let label = if round == 0 { "cold".to_string() } else { format!("warm{round}") };
-        let sims = after.sims_run - before.sims_run;
-        let hits = after.cache_hits - before.cache_hits;
-        let texts: Vec<String> = responses.into_iter().map(|r| r.stats_text).collect();
-        if round == 0 {
-            cold_texts = texts;
-            cold_wall = wall;
-            if sims as usize != cells.len() {
-                findings.push(format!(
-                    "cold round ran {sims} simulations for {} unique cells",
-                    cells.len()
-                ));
-            }
-        } else {
-            slowest_warm = slowest_warm.max(wall);
-            if sims != 0 {
-                findings.push(format!("{label}: {sims} simulations ran on a warm cache"));
-            }
-            if hits as usize != cells.len() {
-                findings.push(format!(
-                    "{label}: {hits} cache hits for {} requests",
-                    cells.len()
-                ));
-            }
-            let diverging = texts.iter().zip(&cold_texts).filter(|(w, c)| w != c).count();
-            if diverging != 0 {
-                findings.push(format!(
-                    "{label}: {diverging} cells differ byte-wise from the cold round"
-                ));
-            }
-        }
-        rounds.push(ServeRound {
-            label,
-            cells: cells.len() as u64,
-            wall_seconds: wall,
-            sims_run: sims,
-            cache_hits: hits,
-        });
+    let mut rounds = vec![cold_round];
+    for r in 1..opts.rounds {
+        let (warm, warm_round) = round(&server, &cells, opts.clients, false, format!("warm{r}"))?;
+        findings.extend(warm_findings(&warm_round, &warm, &cold));
+        slowest_warm = slowest_warm.max(warm_round.wall_seconds);
+        rounds.push(warm_round);
     }
 
     if opts.verify {
-        let before = server.counters();
-        let t0 = Instant::now();
-        let responses = run_cells(&server, &cells, opts.clients, true)?;
-        let wall = t0.elapsed().as_secs_f64();
-        let after = server.counters();
+        let (responses, verify_round) =
+            round(&server, &cells, opts.clients, true, "verify".to_string())?;
         let mismatched = responses
             .iter()
             .filter(|r| r.verify != Some(VerifyOutcome::Match))
@@ -234,29 +304,15 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<ReplayOutcome, String> {
         if mismatched != 0 {
             findings.push(format!("verify: {mismatched} cells did not re-simulate to a byte-identical entry"));
         }
-        rounds.push(ServeRound {
-            label: "verify".to_string(),
-            cells: cells.len() as u64,
-            wall_seconds: wall,
-            sims_run: after.sims_run - before.sims_run,
-            cache_hits: after.cache_hits - before.cache_hits,
-        });
+        rounds.push(verify_round);
     }
 
-    let fingerprint = fingerprint_texts(cold_texts.iter().map(String::as_str));
-    let c = server.counters();
+    let fingerprint = fingerprint_texts(cold.iter().map(|r| r.stats_text.as_str()));
     let report = ServeReport {
         scale: opts.scale,
         workers: server.workers(),
         clients: opts.clients,
-        requests: c.requests,
-        cache_hits: c.cache_hits,
-        cache_misses: c.cache_misses,
-        dedup_waits: c.dedup_waits,
-        sims_run: c.sims_run,
-        corrupt_evictions: c.corrupt_evictions,
-        verified: c.verified,
-        verify_mismatches: c.verify_mismatches,
+        counters: server.counters(),
         worker_utilization: server.worker_utilization(),
         warm_speedup: if slowest_warm > 0.0 { cold_wall / slowest_warm } else { 0.0 },
         rounds,

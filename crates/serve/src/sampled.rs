@@ -1,4 +1,4 @@
-//! The `table_sampled` sampling policy and the sampled-stats decoder.
+//! The `table_sampled` sampling policy.
 //!
 //! Unlike the other experiment matrices, the sampled sweep cannot be a
 //! static configuration list: the tuned policy *tiles* each kernel's
@@ -9,12 +9,7 @@
 //! its full-detail twin hash to different cache keys, and any client
 //! naming the same policy (the CLI's `submit --sample …`) shares the
 //! entry.
-//!
-//! As with the far tier, the server replies with the canonical statistics
-//! text rather than a struct, so the sampled-coverage counters are decoded
-//! from the byte-stable `Debug` rendering by [`parse_sampled_stats`].
 
-use aim_pipeline::SampledStats;
 use aim_types::SampleSpec;
 
 /// Detailed windows the tuned policy spreads across the trace. Prime, so
@@ -42,33 +37,11 @@ pub fn sampled_policy(trace_len: u64) -> SampleSpec {
         .expect("tiled policy has nonzero phases")
 }
 
-/// Decodes the sampled-coverage counters from a canonical statistics text
-/// (the byte-stable `Debug` rendering cached entries store). Returns
-/// `None` when the run was not sampled or the text does not carry a
-/// well-formed `sampled: Some(SampledStats { … })` field.
-pub fn parse_sampled_stats(stats_text: &str) -> Option<SampledStats> {
-    const OPEN: &str = "sampled: Some(SampledStats { ";
-    let start = stats_text.find(OPEN)?;
-    let body = &stats_text[start + OPEN.len()..];
-    let body = &body[..body.find(" })")?];
-    let mut stats = SampledStats::default();
-    for field in body.split(", ") {
-        let (key, value) = field.split_once(": ")?;
-        match key {
-            "periods_run" => stats.periods_run = value.parse().ok()?,
-            "warm_retired" => stats.warm_retired = value.parse().ok()?,
-            "detail_retired" => stats.detail_retired = value.parse().ok()?,
-            "detail_cycles" => stats.detail_cycles = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    Some(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::ConfigSpec;
+    use crate::CacheEntry;
     use aim_pipeline::{BackendChoice, MachineClass};
     use aim_workloads::Scale;
 
@@ -96,8 +69,8 @@ mod tests {
 
     #[test]
     fn sampled_stats_round_trip_through_the_canonical_text() {
-        // Pin the decoder against the real rendering: run one sampled cell
-        // and parse its canonical statistics text back.
+        // Run one sampled cell and read its cached statistics record back:
+        // the coverage counters survive, and so does everything else.
         let workload = aim_workloads::by_name("gzip", Scale::Tiny).unwrap();
         let prepared = aim_bench::prepare(workload, Scale::Tiny);
         let spec = ConfigSpec {
@@ -105,35 +78,10 @@ mod tests {
             ..ConfigSpec::new(MachineClass::Baseline, BackendChoice::SfcMdt)
         };
         let stats = aim_bench::run(&prepared, &spec.to_config());
-        let text = format!("{:?}", stats.with_zeroed_host());
-        assert_eq!(
-            parse_sampled_stats(&text),
-            stats.sampled,
-            "decoder diverges from Debug"
-        );
-        let sampled = stats.sampled.expect("sampled run records coverage");
+        let back = CacheEntry::from_stats(&stats).stats().unwrap();
+        assert_eq!(back, stats.with_zeroed_host());
+        let sampled = back.sampled.expect("sampled run records coverage");
         assert!(sampled.periods_run > 0);
         assert!(sampled.warm_retired > 0);
-    }
-
-    #[test]
-    fn sampled_decoder_rejects_unsampled_and_malformed_texts() {
-        assert_eq!(parse_sampled_stats("SimStats { cycles: 12 }"), None);
-        assert_eq!(parse_sampled_stats("sampled: None"), None);
-        assert_eq!(
-            parse_sampled_stats("sampled: Some(SampledStats { periods_run: x })"),
-            None
-        );
-        let text = "sampled: Some(SampledStats { periods_run: 11, warm_retired: 900, \
-                    detail_retired: 100, detail_cycles: 40 })";
-        assert_eq!(
-            parse_sampled_stats(text),
-            Some(SampledStats {
-                periods_run: 11,
-                warm_retired: 900,
-                detail_retired: 100,
-                detail_cycles: 40,
-            })
-        );
     }
 }

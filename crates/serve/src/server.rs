@@ -24,10 +24,15 @@
 
 use crate::cache::{CacheEntry, DiskCache, Lookup};
 use crate::proto::{error_reply, JobResponse, JobSpec, Source, VerifyOutcome};
-use aim_bench::{cache_key_of_texts, canonical_config_text, program_text, CacheKey, Prepared};
+use aim_bench::{
+    cache_key_of_texts, canonical_config_text, program_text, CacheKey, Prepared, ServeCounters,
+};
+use aim_pipeline::SimStats;
+use aim_types::record::Field;
 use aim_types::wire::{read_frame, write_frame, WireMsg};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -45,27 +50,6 @@ struct Counters {
     corrupt_evictions: AtomicU64,
     verified: AtomicU64,
     verify_mismatches: AtomicU64,
-}
-
-/// A point-in-time copy of the server's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Requests handled.
-    pub requests: u64,
-    /// Requests answered from the cache.
-    pub cache_hits: u64,
-    /// Requests that missed the cache.
-    pub cache_misses: u64,
-    /// Requests folded onto an in-flight duplicate.
-    pub dedup_waits: u64,
-    /// Pipeline simulations executed.
-    pub sims_run: u64,
-    /// Cache entries evicted by validation.
-    pub corrupt_evictions: u64,
-    /// Verify recomputations performed.
-    pub verified: u64,
-    /// Verify recomputations that diverged from the cached bytes.
-    pub verify_mismatches: u64,
 }
 
 /// One in-flight unique job; waiters park here.
@@ -243,9 +227,9 @@ impl Server {
     }
 
     /// Copies the lifetime counters.
-    pub fn counters(&self) -> CounterSnapshot {
+    pub fn counters(&self) -> ServeCounters {
         let c = &self.counters;
-        CounterSnapshot {
+        ServeCounters {
             requests: c.requests.load(Ordering::Relaxed),
             cache_hits: c.cache_hits.load(Ordering::Relaxed),
             cache_misses: c.cache_misses.load(Ordering::Relaxed),
@@ -301,30 +285,45 @@ impl Server {
         Ok(Arc::clone(cell.get_or_init(|| Arc::new(aim_bench::prepare(workload, scale)))))
     }
 
-    /// Runs `spec`'s simulation on the worker pool and returns (and, when
-    /// `store` is set, persists) the resulting entry.
-    fn compute(&self, spec: &JobSpec, key: CacheKey, store: bool) -> Result<CacheEntry, String> {
+    /// Runs `spec`'s simulation on the worker pool and returns (and
+    /// persists) the resulting entry.
+    fn compute(&self, spec: &JobSpec, key: CacheKey) -> Result<CacheEntry, String> {
+        let cfg = spec.config.to_config();
+        // The pool job needs the trace; resolve it here so `self` need not
+        // be `Arc`-captured (preparation memoizes per kernel anyway).
+        let prepared = self.prepared_of(&spec.kernel, spec.scale)?;
+        self.run_job(key, move || aim_bench::try_run(&prepared, &cfg))
+    }
+
+    /// Runs `simulate` on the worker pool, stores its statistics under
+    /// `key`, and returns the entry. A simulator failure comes back as
+    /// its one-line message; a panicking simulation is caught on the
+    /// worker, which stays in the pool, and reported as an error too.
+    fn run_job<F>(&self, key: CacheKey, simulate: F) -> Result<CacheEntry, String>
+    where
+        F: FnOnce() -> Result<SimStats, String> + Send + 'static,
+    {
         let slot = Arc::new(JobSlot::default());
         let done = Arc::clone(&slot);
         let counters = Arc::clone(&self.counters);
         let cache = self.cache.clone();
-        let cfg = spec.config.to_config();
-        let kernel = spec.kernel.clone();
-        let scale = spec.scale;
-        // The pool job needs the trace; resolve it here so `self` need not
-        // be `Arc`-captured (preparation memoizes per kernel anyway).
-        let prepared = self.prepared_of(&kernel, scale)?;
         self.pool.execute(Box::new(move || {
             counters.sims_run.fetch_add(1, Ordering::Relaxed);
-            let stats = aim_bench::run(&prepared, &cfg);
-            let entry = CacheEntry::from_stats(&stats);
-            let result = if store {
-                cache
-                    .store(key, &entry)
-                    .map(|()| entry)
-                    .map_err(|e| format!("cache store for {key}: {e}"))
-            } else {
-                Ok(entry)
+            let result = match panic::catch_unwind(AssertUnwindSafe(simulate)) {
+                Ok(Ok(stats)) => {
+                    let entry = CacheEntry::from_stats(&stats);
+                    cache
+                        .store(key, &entry)
+                        .map(|()| entry)
+                        .map_err(|e| format!("cache store for {key}: {e}"))
+                }
+                Ok(Err(e)) => Err(e),
+                Err(payload) => {
+                    let why = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    Err(format!("simulation for {key} panicked: {}", why.replace('\n', " ")))
+                }
             };
             done.fulfill(result);
         }));
@@ -369,7 +368,7 @@ impl Server {
                     None
                 }
             };
-            let fresh = self.compute(spec, key, true)?;
+            let fresh = self.compute(spec, key)?;
             let outcome = match cached {
                 None => VerifyOutcome::Cold,
                 Some(old) => {
@@ -386,7 +385,7 @@ impl Server {
         }
 
         if no_cache {
-            let fresh = self.compute(spec, key, true)?;
+            let fresh = self.compute(spec, key)?;
             return Ok(respond(&fresh, Source::Sim, None));
         }
 
@@ -401,8 +400,18 @@ impl Server {
             Lookup::Miss => {}
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let (entry, source) = self.single_flight(key, || self.compute(spec, key))?;
+        Ok(respond(&entry, source, None))
+    }
 
-        // Single-flight: first requester of the key leads, the rest park.
+    /// Single-flight: the first requester of `key` leads and runs
+    /// `compute`; later requesters park on its slot and wake with the same
+    /// result, error included.
+    fn single_flight(
+        &self,
+        key: CacheKey,
+        compute: impl FnOnce() -> Result<CacheEntry, String>,
+    ) -> Result<(CacheEntry, Source), String> {
         let (slot, leader) = {
             let mut inflight = self.inflight.lock().expect("inflight lock");
             match inflight.get(&key) {
@@ -415,13 +424,13 @@ impl Server {
             }
         };
         if leader {
-            let result = self.compute(spec, key, true);
+            let result = compute();
             slot.fulfill(result.clone());
             self.inflight.lock().expect("inflight lock").remove(&key);
-            Ok(respond(&result?, Source::Sim, None))
+            Ok((result?, Source::Sim))
         } else {
             self.counters.dedup_waits.fetch_add(1, Ordering::Relaxed);
-            Ok(respond(&slot.wait()?, Source::Dedup, None))
+            Ok((slot.wait()?, Source::Dedup))
         }
     }
 
@@ -443,20 +452,10 @@ impl Server {
                 }
             }
             Some("stats") => {
-                let c = self.counters();
                 let mut reply = WireMsg::new();
-                reply
-                    .put_bool("ok", true)
-                    .put_u64("workers", self.workers() as u64)
-                    .put_u64("requests", c.requests)
-                    .put_u64("cache_hits", c.cache_hits)
-                    .put_u64("cache_misses", c.cache_misses)
-                    .put_u64("dedup_waits", c.dedup_waits)
-                    .put_u64("sims_run", c.sims_run)
-                    .put_u64("corrupt_evictions", c.corrupt_evictions)
-                    .put_u64("verified", c.verified)
-                    .put_u64("verify_mismatches", c.verify_mismatches)
-                    .put_f64("worker_utilization", self.worker_utilization());
+                reply.put_bool("ok", true).put_u64("workers", self.workers() as u64);
+                self.counters().put("", &mut reply);
+                reply.put_f64("worker_utilization", self.worker_utilization());
                 (reply, false)
             }
             Some("shutdown") => {
@@ -492,4 +491,69 @@ pub fn serve_connection<S: Read + Write>(server: &Server, mut stream: S) -> std:
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aim_bench::cache_key_of_texts;
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread; the test fails, rather than hangs, if
+    /// no answer comes back within a minute.
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let call = std::thread::spawn(move || tx.send(f()));
+        let answer = rx.recv_timeout(Duration::from_secs(60)).expect("server call hung");
+        call.join().expect("call thread").expect("answer sent");
+        answer
+    }
+
+    fn server(tag: &str, workers: usize) -> Arc<Server> {
+        let dir = std::env::temp_dir().join(format!("aim_serve_unit_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(Server::new(&dir, workers).unwrap())
+    }
+
+    #[test]
+    fn a_panicking_job_errors_and_the_pool_keeps_its_worker() {
+        let server = server("panic", 1);
+        let key = cache_key_of_texts("prog", "cfg", "panic");
+        let srv = Arc::clone(&server);
+        let err = within(move || srv.run_job(key, || panic!("injected\nfault"))).unwrap_err();
+        assert!(err.contains("panicked: injected fault"), "{err}");
+        // The only worker survived: a real job still runs to completion.
+        let spec = crate::hostperf_configs()[0].1.job("gzip", Scale::Tiny);
+        let srv = Arc::clone(&server);
+        assert_eq!(within(move || srv.submit(&spec, false, false)).unwrap().source, Source::Sim);
+        assert_eq!(server.counters().sims_run, 2);
+    }
+
+    #[test]
+    fn a_failed_leader_fails_its_parked_waiter_too() {
+        let server = server("leader", 2);
+        let key = cache_key_of_texts("prog", "cfg", "leader");
+        // Whichever request leads holds its simulation until the other has
+        // parked on the slot, then panics.
+        let request = |server: Arc<Server>| {
+            move || {
+                let counters = Arc::clone(&server.counters);
+                server.single_flight(key, || {
+                    server.run_job(key, move || {
+                        while counters.dedup_waits.load(Ordering::SeqCst) == 0 {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        panic!("leader fault")
+                    })
+                })
+            }
+        };
+        let a = std::thread::spawn(request(Arc::clone(&server)));
+        let b = std::thread::spawn(request(Arc::clone(&server)));
+        for result in within(move || [a.join().unwrap(), b.join().unwrap()]) {
+            assert!(result.unwrap_err().contains("leader fault"));
+        }
+        let c = server.counters();
+        assert_eq!((c.sims_run, c.dedup_waits), (1, 1));
+    }
 }

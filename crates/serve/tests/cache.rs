@@ -117,9 +117,9 @@ fn server_statistics_match_the_direct_harness_byte_for_byte() {
             let spec = cfg_spec.job(kernel, Scale::Tiny);
             let resp = server.submit(&spec, false, false).unwrap();
             let direct = aim_bench::run(&prepared, &cfg_spec.to_config());
-            let direct_text = format!("{:?}", direct.with_zeroed_host());
             assert_eq!(
-                resp.stats_text, direct_text,
+                resp.stats_text,
+                aim_bench::stats_text(&direct),
                 "{kernel}/{name}: server text diverges from aim_bench::run"
             );
             assert_eq!(resp.fingerprint, fingerprint_stats(std::iter::once(&direct)));

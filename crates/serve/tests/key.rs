@@ -180,14 +180,14 @@ fn mutate(cfg: &mut SimConfig, which: u64) {
         9 => cfg.gshare_counters *= 2,
         10 => cfg.sfc_store_extra_latency += 1,
         11 => {
-            cfg.hierarchy.far = match cfg.hierarchy.far {
+            cfg.mem.far = match cfg.mem.far {
                 None => Some(FarSpec::default()),
                 Some(_) => None,
             }
         }
-        12 => match &mut cfg.hierarchy.far {
+        12 => match &mut cfg.mem.far {
             Some(far) => far.latency += 1,
-            None => cfg.hierarchy.l2_miss_cycles += 1,
+            None => cfg.mem.l2_miss_cycles += 1,
         },
         13 => {
             cfg.output_dep_recovery = match cfg.output_dep_recovery {

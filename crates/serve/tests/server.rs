@@ -87,7 +87,7 @@ fn corrupt_entries_are_evicted_and_recomputed() {
     let cache = DiskCache::open(&dir).unwrap();
     let path = cache.entry_path(server.key_of(&job).unwrap());
     let text = std::fs::read_to_string(&path).unwrap();
-    let tampered = text.replacen("cycles: ", "cycles:  ", 1);
+    let tampered = text.replacen("\"cycles\":", "\"cycles\": ", 1);
     assert_ne!(text, tampered, "tamper target not found in entry payload");
     std::fs::write(&path, tampered).unwrap();
 
@@ -125,7 +125,7 @@ fn verify_flags_and_repairs_a_forged_entry() {
     let forged = CacheEntry {
         cycles: honest.cycles + 1,
         retired: honest.retired,
-        stats_text: honest.stats_text.replacen("cycles: ", "cycles: 1", 1),
+        stats_text: honest.stats_text.replacen("\"cycles\":", "\"cycles\":1", 1),
     };
     assert_ne!(forged.stats_text, honest.stats_text);
     let cache = DiskCache::open(&dir).unwrap();
@@ -189,26 +189,32 @@ fn wire_errors_are_actionable_and_non_fatal() {
     assert_eq!(reply.bool_field("ok"), Some(false));
     assert!(reply.str_field("err").unwrap().contains("op"));
 
-    // Shapes, thresholds and capacities a constructor would panic on are
-    // rejected at decode time, naming the field, instead of killing a
-    // worker and leaving the request unanswered.
+    // Shapes, thresholds and capacities a constructor would panic on, and
+    // unknown backends, are rejected at decode time, naming the field,
+    // instead of killing a worker and leaving the request unanswered.
     let malformed = |key: &str, value: &str| {
-        let mut msg = WireMsg::parse(
-            r#"{"op":"sim","kernel":"gzip","scale":"tiny","machine":"baseline","backend":"pcax"}"#,
-        )
-        .unwrap();
+        let mut msg = WireMsg::new();
+        let base = [("op", "sim"), ("kernel", "gzip"), ("scale", "tiny"), ("machine", "baseline")];
+        for (k, v) in base.into_iter().chain([("backend", "pcax")]).filter(|(k, _)| *k != key) {
+            msg.put_str(k, v);
+        }
         match value.parse::<u64>() {
             Ok(n) => msg.put_u64(key, n),
             Err(_) => msg.put_str(key, value),
         };
         msg
     };
-    for (key, value) in [("pcax", "3x1"), ("pcax_act", "200"), ("filt", "6x1"), ("lsq", "0x0")] {
+    for (key, value) in
+        [("pcax", "3x1"), ("pcax_act", "200"), ("filt", "6x1"), ("lsq", "0x0"), ("backend", "cam")]
+    {
         let reply = run(&malformed(key, value));
         assert_eq!(reply.bool_field("ok"), Some(false), "{key}: {value} was accepted");
         let err = reply.str_field("err").unwrap();
         assert!(err.contains(&format!("`{key}`")), "error does not name `{key}`: {err}");
     }
+    // An unknown backend's error lists the vocabulary.
+    let err = run(&malformed("backend", "cam")).str_field("err").unwrap().to_string();
+    assert!(err.contains("(nospec|lsq|filtered|sfc-mdt|pcax|oracle)"), "{err}");
 
     // The connection still serves a real job after the bad requests…
     let reply = run(&spec(0, "gzip").to_wire(false, false));
@@ -231,6 +237,37 @@ fn wire_errors_are_actionable_and_non_fatal() {
     drop(client);
     handler.join().unwrap().unwrap();
     assert!(server.is_shutdown());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry in the retired `aim-serve-cache/v1` layout (a `Debug`-text
+/// payload under a valid v1 checksum) is not a statistics record: it
+/// reads as corrupt, is evicted, and the cell is recomputed.
+#[test]
+fn v1_schema_entries_are_recomputed() {
+    let dir = temp_dir("v1_schema");
+    let server = Server::new(&dir, 1).unwrap();
+    let job = spec(0, "gzip");
+    let cold = server.submit(&job, false, false).unwrap();
+
+    let key = server.key_of(&job).unwrap();
+    let payload = format!("SimStats {{ cycles: {}, retired: {} }}", cold.cycles, cold.retired);
+    let sum = fingerprint_text(&format!("{}\n{}\n{payload}", cold.cycles, cold.retired));
+    let v1 = format!(
+        "aim-serve-cache/v1\nkey {}\ncycles {}\nretired {}\nsum {sum:016x}\n{payload}",
+        key.hex(),
+        cold.cycles,
+        cold.retired
+    );
+    let path = DiskCache::open(&dir).unwrap().entry_path(key);
+    std::fs::write(&path, v1).unwrap();
+
+    let again = server.submit(&job, false, false).unwrap();
+    assert_eq!(again.source, Source::Sim, "a v1 entry must not be served");
+    assert_eq!(again.stats_text, cold.stats_text);
+    assert_eq!(server.counters().corrupt_evictions, 1);
+    assert_eq!(again.stats().unwrap().cycles, cold.cycles);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,6 +23,7 @@
 
 mod addr;
 mod mask;
+pub mod record;
 mod sample;
 mod seq;
 pub mod token;

@@ -80,6 +80,16 @@ HOSTPERF_OUT="$(AIM_HOSTPERF_JSON="$(mktemp)" \
 grep -q 'hostperf: multi-core N=1 fingerprint matches single-core' <<<"$HOSTPERF_OUT"
 grep -q 'hostperf: ACCEPT' <<<"$HOSTPERF_OUT"
 
+# The committed-fingerprint gate: at small scale --check also compares the
+# run's fingerprint with the committed BENCH_hostperf.json (read before the
+# run's own report, which goes to a temp file) and rejects any difference,
+# so a behaviour change cannot land without regenerating that report.
+echo "== tier1: table_hostperf committed-fingerprint gate (small scale) =="
+HOSTPERF_SMALL_OUT="$(AIM_HOSTPERF_JSON="$(mktemp)" \
+  cargo run --release -q -p aim-bench --bin table_hostperf -- --scale small --check)"
+grep -q 'hostperf: fingerprint matches the committed BENCH_hostperf.json' <<<"$HOSTPERF_SMALL_OUT"
+grep -q 'hostperf: ACCEPT' <<<"$HOSTPERF_SMALL_OUT"
+
 # The memory-model gate: every litmus outcome the multi-core machine
 # produces must be allowed by the operational reference model, on every
 # backend. Tier-1 runs a shallow schedule sweep (the committed
