@@ -10,10 +10,12 @@
 //!   image, code base), so a workload edit or a different [`Scale`]
 //!   invalidates its entries;
 //! * **canonicalized [`SimConfig`]** — every architectural knob, with the
-//!   pure observability knobs ([`SimConfig::event_trace`],
-//!   [`SimConfig::pipeview`], [`SimConfig::paranoid`]) normalized away:
-//!   they change what the host records, never what the machine computes
-//!   (the `table_hostperf` fingerprint gate relies on the same fact);
+//!   one pure observability knob, [`SimConfig::paranoid`], normalized
+//!   away: its integrity checks change what the host verifies, never what
+//!   the machine computes (the `table_hostperf` fingerprint gate relies on
+//!   the same fact). Event recording is not configuration at all — it is
+//!   chosen by the entry point (`simulate_recorded`), so it never reaches
+//!   the key;
 //! * **code-version string** — [`CODE_VERSION`], bumped whenever a change
 //!   anywhere in the simulator can alter any statistic. The stats
 //!   fingerprint in `BENCH_hostperf.json` changes on exactly those
@@ -34,7 +36,7 @@ use core::fmt;
 /// architectural statistic anywhere in the simulator (the same commits
 /// that change the `table_hostperf` stats fingerprint); stale entries are
 /// then simply never found, which is the only safe failure mode.
-pub const CODE_VERSION: &str = "aim-sim-2026-10/2";
+pub const CODE_VERSION: &str = "aim-sim-2026-10/3";
 
 /// A 128-bit content address: two independent FNV-1a streams over the same
 /// key text. One 64-bit hash leaves accidental collisions plausible over
@@ -80,16 +82,14 @@ pub fn program_text(program: &Program) -> String {
 }
 
 /// The canonical text of a configuration: the derived `Debug` rendering
-/// of the config with its observability knobs normalized to their
-/// defaults. The text is only ever hashed, never parsed back.
+/// of the config with its observability knob normalized to its default.
+/// The text is only ever hashed, never parsed back.
 /// Everything else — machine width and window, backend family and every
 /// structure geometry, predictor mode, cache hierarchy, recovery policies,
 /// seeds, instruction budget — stays in the text, so flipping any of them
 /// changes the key.
 pub fn canonical_config_text(cfg: &SimConfig) -> String {
     let mut canon = cfg.clone();
-    canon.event_trace = false;
-    canon.pipeview = false;
     canon.paranoid = false;
     format!("{canon:?}")
 }
@@ -152,8 +152,6 @@ mod tests {
         let p = program("gzip", Scale::Tiny);
         let plain = SimConfig::machine(MachineClass::Baseline).build();
         let mut noisy = plain.clone();
-        noisy.event_trace = true;
-        noisy.pipeview = true;
         noisy.paranoid = true;
         assert_eq!(canonical_config_text(&plain), canonical_config_text(&noisy));
         assert_eq!(

@@ -1,10 +1,9 @@
 //! Integration tests for the parallel sweep runner: determinism across
-//! thread counts, every artifact's spec matrix at tiny scale, and the
-//! allocation-free (no event-string) untraced hot path.
+//! thread counts, every artifact's spec matrix at tiny scale, and event
+//! recording as a pure observer.
 
 use aim_bench::{prepare_all, run_matrix, run_matrix_timed, specs, Report, SweepReport};
-use aim_pipeline::{BackendChoice, MachineClass, simulate_traced, simulate_with_trace, SimConfig};
-use aim_predictor::EnforceMode;
+use aim_pipeline::{BackendChoice, Core, MachineClass, simulate_with_trace, SimConfig};
 use aim_workloads::Scale;
 
 /// A broad config set covering all six backends and both machine classes.
@@ -85,27 +84,30 @@ fn named_config_lookup_panics_on_unknown() {
     assert!(err.is_err());
 }
 
+/// Recording the event stream only observes: on every backend and both
+/// machine classes, a recorded run's statistics equal the plain run's up
+/// to host timings.
 #[test]
-fn untraced_run_builds_no_event_strings() {
+fn recording_is_observation_only() {
     let p = aim_bench::prepare(
         aim_workloads::by_name("gzip", Scale::Tiny).unwrap(),
         Scale::Tiny,
     );
-    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-    let stats = simulate_with_trace(&p.program, &p.trace, &cfg).unwrap();
-    assert_eq!(
-        stats.host.event_strings_built, 0,
-        "untraced cycle loop formatted pipeline events"
-    );
-    assert!(stats.host.wall_ns > 0);
-
-    let mut traced_cfg = cfg;
-    traced_cfg.event_trace = true;
-    let (traced_stats, events) = simulate_traced(&p.program, &traced_cfg).unwrap();
-    assert!(traced_stats.host.event_strings_built > 0);
-    assert!(!events.is_empty());
-    // The counter matches what the ring saw in total.
-    assert!(traced_stats.host.event_strings_built >= events.len() as u64);
+    for class in [MachineClass::Baseline, MachineClass::Aggressive] {
+        for backend in BackendChoice::ALL {
+            let cfg = SimConfig::machine(class).backend(backend).build();
+            let plain = simulate_with_trace(&p.program, &p.trace, &cfg).unwrap();
+            assert!(plain.host.wall_ns > 0);
+            let (recorded, events) =
+                Core::new(&p.program, &p.trace, cfg).run_recorded().unwrap();
+            assert!(!events.is_empty(), "{class}/{backend}: nothing recorded");
+            assert_eq!(
+                recorded.with_zeroed_host(),
+                plain.with_zeroed_host(),
+                "{class}/{backend}: recording changed the statistics"
+            );
+        }
+    }
 }
 
 #[test]

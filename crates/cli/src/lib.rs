@@ -459,8 +459,6 @@ pub fn build_config(args: &RunArgs) -> SimConfig {
         }
     }
     cfg.mdt_filter = args.filter;
-    cfg.event_trace = args.trace > 0;
-    cfg.pipeview = args.pipeview > 0;
     cfg.paranoid = args.paranoid;
     cfg
 }
@@ -701,7 +699,6 @@ mod tests {
         assert!(err(&["asm"]).contains("missing kernel"));
         let args = run_args(&["run", "gzip", "--pipeview", "24"]);
         assert_eq!(args.pipeview, 24);
-        assert!(build_config(&args).pipeview);
         assert!(err(&["run", "x", "--pipeview", "many"]).contains("bad pipeview length"));
         assert!(err(&["run", "x", "--trace", "lots"]).contains("bad trace length"));
     }

@@ -7,29 +7,30 @@ use aim_cli::{
     ServeArgs, SubmitArgs, USAGE,
 };
 use aim_bench::Report;
-use aim_pipeline::{pipeview, simulate_pipeview, simulate_traced};
+use aim_pipeline::{pipeview, simulate, simulate_recorded};
 
 fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result<(), String> {
     let cfg = build_config(args);
     let backend = cfg.backend.name();
-    if args.pipeview > 0 {
-        let (stats, records) = simulate_pipeview(program, &cfg).map_err(|e| e.to_string())?;
+    if args.trace == 0 && args.pipeview == 0 {
+        let stats = simulate(program, &cfg).map_err(|e| e.to_string())?;
         print!("{}", report(name, &backend, &stats));
-        let tail = records.len().saturating_sub(args.pipeview);
-        println!("-- last {} retirements --", records.len() - tail);
-        print!("{}", pipeview::render(&records[tail..], 64));
         return Ok(());
     }
-    let (stats, events) = simulate_traced(program, &cfg).map_err(|e| e.to_string())?;
+    let (stats, events) = simulate_recorded(program, &cfg).map_err(|e| e.to_string())?;
     print!("{}", report(name, &backend, &stats));
     if args.trace > 0 {
-        println!(
-            "-- last {} pipeline events --",
-            args.trace.min(events.len())
-        );
-        for line in events.iter().rev().take(args.trace).rev() {
-            println!("{line}");
+        let tail = &events[events.len().saturating_sub(args.trace)..];
+        println!("-- last {} pipeline events --", tail.len());
+        for event in tail {
+            println!("{event}");
         }
+    }
+    if args.pipeview > 0 {
+        let tail = pipeview::last_retirements(&events, args.pipeview);
+        let shown = tail.iter().filter(|e| e.retirement().is_some()).count();
+        println!("-- last {shown} retirements --");
+        print!("{}", pipeview::render(tail, 64));
     }
     Ok(())
 }
@@ -295,8 +296,8 @@ fn main() -> ExitCode {
             if args.trace == 0 && args.pipeview == 0 {
                 compare_parallel(&args)
             } else {
-                // Event traces and pipeview records only surface through the
-                // sequential single-run path.
+                // Recorded events only surface through the sequential
+                // single-run path.
                 BackendChoice::ALL
                     .iter()
                     .try_for_each(|&backend| run_one(&with_backend(&args, backend)))

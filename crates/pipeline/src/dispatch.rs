@@ -5,6 +5,7 @@ use aim_backend::MemKind;
 use aim_isa::Instr;
 use aim_types::SeqNum;
 
+use crate::event::EventKind;
 use crate::machine::Core;
 use crate::rob::InFlight;
 
@@ -89,7 +90,7 @@ impl Core<'_> {
                 }
             }
 
-            self.log(|| format!("dispatch {seq} pc={} `{}`", front.pc, front.instr));
+            self.emit(|| EventKind::Dispatch { seq, pc: front.pc, instr: front.instr });
             self.rob.push(entry);
             self.waiting.push_back(self.rob.stable_of(self.rob.len() - 1));
             self.stats.dispatched += 1;

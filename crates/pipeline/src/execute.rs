@@ -8,6 +8,7 @@ use aim_isa::{ExecClass, Instr};
 use aim_types::{Addr, MemAccess, SeqNum, ViolationKind};
 
 use crate::config::OutputDepRecovery;
+use crate::event::EventKind;
 use crate::machine::Core;
 use crate::recover::PendingViolation;
 use crate::rob::InstrState;
@@ -78,19 +79,13 @@ impl Core<'_> {
     fn start_execute(&mut self, seq: SeqNum, idx: usize) {
         debug_assert_eq!(self.rob.get_at(idx).seq, seq, "stale issue index");
         self.stats.issued += 1;
-        if self.config.event_trace {
-            let (pc, instr) = {
-                let e = self.rob.get_at(idx);
-                (e.pc, e.instr)
-            };
-            self.log(|| format!("issue    {seq} pc={pc} `{instr}`"));
-        }
         let (a, b) = self.src_values(idx);
         let cycle = self.cycle;
         let e = self.rob.get_at_mut(idx);
         e.issued_cycle = cycle;
         let pc = e.pc;
         let instr = e.instr;
+        self.emit(|| EventKind::Issue { seq, pc, instr });
 
         let mut result = 0u64;
         let mut actual_next: Option<u64> = None;
@@ -182,7 +177,7 @@ impl Core<'_> {
     }
 
     fn replay_with(&mut self, seq: SeqNum, idx: usize, allow_stall: bool) {
-        self.log(|| format!("replay   {seq} dropped by the memory unit"));
+        self.emit(|| EventKind::Replay { seq });
         // Stall bits only help when the backend emits free events that will
         // later clear them; on backends without them (which replay for
         // ordering, not capacity), a stall bit would never clear and the

@@ -13,7 +13,7 @@ use aim_predictor::{Gshare, OracleBoost, ProducerSetPredictor, TagScoreboard};
 use aim_types::SeqNum;
 
 use crate::config::SimConfig;
-use crate::pipeview::PipeRecord;
+use crate::event::{Event, EventKind, EVENT_CAPACITY};
 use crate::recover::PendingViolation;
 use crate::rename::Renamer;
 use crate::rob::{InFlight, Rob};
@@ -70,9 +70,9 @@ pub struct FinalState {
 ///
 /// A `Core` owns a full pipeline (fetch through retire, with recovery) and
 /// its private L1 caches, and reaches committed memory plus the unified L2
-/// through an [`aim_mem::SharedHandle`]. Construct with [`Machine::new`]
-/// (self-contained single-core, the historical `Machine`) and drive with
-/// [`Machine::run`], or use the [`crate::simulate`] convenience function;
+/// through an [`aim_mem::SharedHandle`]. Construct with [`Core::new`]
+/// (self-contained single-core) and drive with [`Core::run`], or use the
+/// [`crate::simulate`] convenience function;
 /// [`crate::MultiMachine`] attaches several cores to one shared memory
 /// system and schedules them.
 ///
@@ -80,7 +80,7 @@ pub struct FinalState {
 ///
 /// ```
 /// use aim_isa::{Assembler, Interpreter, Reg};
-/// use aim_pipeline::{BackendChoice, Machine, MachineClass, SimConfig};
+/// use aim_pipeline::{BackendChoice, Core, MachineClass, SimConfig};
 ///
 /// let mut asm = Assembler::new();
 /// asm.movi(Reg::new(1), 42);
@@ -88,7 +88,7 @@ pub struct FinalState {
 /// let program = asm.assemble().unwrap();
 /// let trace = Interpreter::new(&program).run(100).unwrap();
 ///
-/// let machine = Machine::new(&program, &trace, SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build());
+/// let machine = Core::new(&program, &trace, SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build());
 /// let stats = machine.run().unwrap();
 /// assert_eq!(stats.retired, 2);
 /// ```
@@ -124,7 +124,7 @@ pub struct Core<'a> {
 
     pub(crate) exec_events: BinaryHeap<Reverse<(u64, u64)>>,
     /// Violations awaiting their raiser's completion event, kept sorted by
-    /// raising sequence number (see `Machine::queue_violation`) so lookup
+    /// raising sequence number (see `Core::queue_violation`) so lookup
     /// and squash are range operations instead of whole-vector scans.
     pub(crate) pending_violations: Vec<(SeqNum, PendingViolation)>,
 
@@ -147,29 +147,14 @@ pub struct Core<'a> {
     /// (successfully) executed, and a counting filter over the granules of
     /// executed-but-unretired stores.
     pub(crate) unexecuted_stores: u64,
-    /// Retired-instruction timelines for the pipeline viewer
-    /// ([`SimConfig::pipeview`]), capped at [`PIPEVIEW_CAPACITY`].
-    pub(crate) pipe_records: Vec<PipeRecord>,
     pub(crate) store_granule_filter: Vec<u32>,
 
     pub(crate) stats: SimStats,
     pub(crate) last_retire_cycle: u64,
-    /// Event log (only populated when `config.event_trace` is set); bounded
-    /// to the most recent [`TRACE_CAPACITY`] events.
-    pub(crate) events: VecDeque<String>,
+    /// The event ring of a recorded run ([`Core::run_recorded`]), holding
+    /// the newest [`EVENT_CAPACITY`] events; `None` when not recording.
+    pub(crate) events: Option<VecDeque<Event>>,
 }
-
-/// Maximum retired-instruction records kept by the pipeline viewer; the
-/// newest records win, so a long run shows its final window.
-pub const PIPEVIEW_CAPACITY: usize = 4096;
-
-/// Maximum events retained by the pipeline trace (a ring of the most recent).
-pub const TRACE_CAPACITY: usize = 65_536;
-
-/// The historical single-core name: a [`Core`] constructed with
-/// [`Machine::new`] owns its entire memory system and behaves exactly as
-/// the pre-multi-core machine did.
-pub type Machine<'a> = Core<'a>;
 
 /// No-forward-progress bound for the per-core deadlock detector.
 const DEADLOCK_CYCLES: u64 = 200_000;
@@ -233,7 +218,6 @@ impl<'a> Core<'a> {
             squash_scratch: Vec::new(),
             violation_scratch: Vec::new(),
             unexecuted_stores: 0,
-            pipe_records: Vec::new(),
             store_granule_filter: vec![0; 1024],
             cycle: 0,
             next_seq: 1,
@@ -241,26 +225,22 @@ impl<'a> Core<'a> {
             target_retired,
             stats: SimStats::default(),
             last_retire_cycle: 0,
-            events: VecDeque::new(),
+            events: None,
             config,
             program,
             trace,
         }
     }
 
-    /// Appends a pipeline event to the trace ring when tracing is enabled.
-    ///
-    /// The closure keeps formatting lazy: with `event_trace` off nothing is
-    /// formatted or allocated, which
-    /// [`HostPerf::event_strings_built`](crate::HostPerf) records.
-    pub(crate) fn log(&mut self, event: impl FnOnce() -> String) {
-        if self.config.event_trace {
-            if self.events.len() == TRACE_CAPACITY {
-                self.events.pop_front();
+    /// Appends a pipeline event to the ring of a recorded run. The event is
+    /// built only when recording, so an unrecorded run pays one branch.
+    #[inline]
+    pub(crate) fn emit(&mut self, kind: impl FnOnce() -> EventKind) {
+        if let Some(ring) = &mut self.events {
+            if ring.len() == EVENT_CAPACITY {
+                ring.pop_front();
             }
-            let line = format!("{:>8}  {}", self.cycle, event());
-            self.stats.host.event_strings_built += 1;
-            self.events.push_back(line);
+            ring.push_back(Event { cycle: self.cycle, kind: kind() });
         }
     }
 
@@ -272,43 +252,33 @@ impl<'a> Core<'a> {
     /// [`SimError::Validation`] if a retiring instruction diverges from the
     /// golden trace, [`SimError::Deadlock`] if no progress is made for an
     /// implausibly long stretch.
-    pub fn run(self) -> Result<SimStats, SimError> {
-        self.run_traced().map(|(stats, _)| stats)
+    pub fn run(mut self) -> Result<SimStats, SimError> {
+        self.run_loop()?;
+        Ok(self.stats)
     }
 
-    /// Like [`Machine::run`], but also returns the recorded event trace
-    /// (empty unless [`SimConfig::event_trace`] is set): one line per fetch
-    /// redirect, dispatch, issue, replay, completion, recovery and
-    /// retirement, newest last, bounded to [`TRACE_CAPACITY`] events.
+    /// Like [`Core::run`], but also records the pipeline events (see
+    /// [`crate::event`]): one per dispatch, issue, replay, completion,
+    /// squash/redirect and retirement, oldest first, bounded to the newest
+    /// [`EVENT_CAPACITY`]. Recording only observes: the statistics equal
+    /// [`Core::run`]'s up to host timings.
     ///
     /// # Errors
     ///
-    /// See [`Machine::run`].
-    pub fn run_traced(mut self) -> Result<(SimStats, Vec<String>), SimError> {
+    /// See [`Core::run`].
+    pub fn run_recorded(mut self) -> Result<(SimStats, Vec<Event>), SimError> {
+        self.events = Some(VecDeque::new());
         self.run_loop()?;
-        Ok((self.stats, self.events.into()))
+        Ok((self.stats, self.events.map(Vec::from).unwrap_or_default()))
     }
 
-    /// Like [`Machine::run`], but also returns the per-instruction stage
-    /// timelines collected for the pipeline viewer. Set
-    /// [`SimConfig::pipeview`]; otherwise the returned list is empty. Only
-    /// the newest [`PIPEVIEW_CAPACITY`] retirements are kept.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::run`].
-    pub fn run_pipeview(mut self) -> Result<(SimStats, Vec<PipeRecord>), SimError> {
-        self.run_loop()?;
-        Ok((self.stats, self.pipe_records))
-    }
-
-    /// Like [`Machine::run`], but also returns the architectural end state
+    /// Like [`Core::run`], but also returns the architectural end state
     /// (retired register file and committed memory) for cross-backend
     /// equivalence checks.
     ///
     /// # Errors
     ///
-    /// See [`Machine::run`].
+    /// See [`Core::run`].
     pub fn run_final(mut self) -> Result<(SimStats, FinalState), SimError> {
         self.run_loop()?;
         let regs = self.arch_regs();
@@ -331,7 +301,7 @@ impl<'a> Core<'a> {
     /// Advances the core by one cycle: retire, then (unless halted)
     /// complete/issue/dispatch/fetch, with the per-core deadlock check.
     /// This is the multi-core scheduling quantum — the single-core
-    /// [`Machine::run`] loop calls it back to back.
+    /// [`Core::run`] loop calls it back to back.
     pub(crate) fn step(&mut self) -> Result<(), SimError> {
         self.cycle += 1;
         self.retire()?;

@@ -8,15 +8,14 @@
 //! canonical interleaving, or a seeded random walk so the litmus harness
 //! can explore many interleavings reproducibly.
 //!
-//! A `MultiMachine` with one core is *bit-identical* to the historical
-//! single-core [`Machine`]: `Core::with_shared` folds the core id into the
+//! A `MultiMachine` with one core is *bit-identical* to a self-contained
+//! single-core [`Core::new`] machine: `Core::with_shared` folds the core id into the
 //! oracle seed with an identity at core 0, [`CoreMemSys`] replicates the
 //! single-core hierarchy's latency ladder exactly, and the round-robin
 //! scheduler degenerates to the single-core cycle loop. The hostperf
 //! `--check` gate asserts this across the full configuration matrix.
 //!
 //! [`CoreMemSys`]: aim_mem::CoreMemSys
-//! [`Machine`]: crate::Machine
 
 use aim_isa::{Interpreter, LitmusTest, Program, Trace};
 use aim_mem::{MainMemory, SharedHandle, SharedMemSystem};
@@ -319,7 +318,7 @@ impl Xorshift64Star {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackendChoice, Machine, MachineClass};
+    use crate::{BackendChoice, Core, MachineClass};
     use aim_isa::{Assembler, Reg};
 
     fn cfg(backend: BackendChoice) -> SimConfig {
@@ -351,7 +350,7 @@ mod tests {
     #[test]
     fn single_core_multi_matches_machine_exactly() {
         let (program, trace) = loop_program(64);
-        let solo = Machine::new(&program, &trace, cfg(BackendChoice::SfcMdt))
+        let solo = Core::new(&program, &trace, cfg(BackendChoice::SfcMdt))
             .run()
             .unwrap();
         let multi = MultiMachine::new(&[(&program, &trace)], cfg(BackendChoice::SfcMdt))
@@ -361,7 +360,7 @@ mod tests {
         assert_eq!(
             solo.with_zeroed_host(),
             multi.per_core[0].with_zeroed_host(),
-            "one-core MultiMachine must be bit-identical to Machine"
+            "one-core MultiMachine must be bit-identical to a single Core"
         );
     }
 

@@ -1,13 +1,13 @@
 //! Per-instruction pipeline timelines, in the spirit of gem5's O3 pipeline
-//! viewer: every retired instruction carries the cycle it passed each stage,
-//! and [`render`] draws them as aligned ASCII lanes.
+//! viewer: every retirement event carries the cycle its instruction passed
+//! each stage, and [`render`] draws them as aligned ASCII lanes.
 //!
-//! Enable with [`SimConfig::pipeview`](crate::SimConfig::pipeview) and run
-//! via [`simulate_pipeview`](crate::simulate_pipeview):
+//! Record a run with [`simulate_recorded`](crate::simulate_recorded) and
+//! draw its newest retirements:
 //!
 //! ```
 //! use aim_isa::{Assembler, Reg};
-//! use aim_pipeline::{pipeview, simulate_pipeview, MachineClass, SimConfig};
+//! use aim_pipeline::{pipeview, simulate_recorded, MachineClass, SimConfig};
 //! use aim_predictor::EnforceMode;
 //!
 //! let mut asm = Assembler::new();
@@ -20,63 +20,50 @@
 //! asm.bne(Reg::new(1), Reg::ZERO, "loop");
 //! asm.halt();
 //!
-//! let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-//! cfg.pipeview = true;
-//! let (_, records) = simulate_pipeview(&asm.assemble().unwrap(), &cfg).unwrap();
-//! println!("{}", pipeview::render(&records, 60));
+//! let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+//! let (_, events) = simulate_recorded(&asm.assemble().unwrap(), &cfg).unwrap();
+//! println!("{}", pipeview::render(pipeview::last_retirements(&events, 24), 60));
 //! ```
 
 use std::fmt::Write as _;
 
-/// One retired instruction's passage through the pipeline.
-///
-/// All cycle stamps are absolute machine cycles; they are monotonically
-/// non-decreasing in the order dispatched → issued → completed → retired.
-/// An instruction that replayed keeps the stamps of its *final* (successful)
-/// pass, with [`replayed`](PipeRecord::replayed) set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipeRecord {
-    /// Dispatch sequence number.
-    pub seq: u64,
-    /// Program counter (instruction index).
-    pub pc: u64,
-    /// Disassembled instruction text.
-    pub instr: String,
-    /// Cycle the instruction entered the ROB.
-    pub dispatched: u64,
-    /// Cycle the (final) execution pass began.
-    pub issued: u64,
-    /// Cycle the result was broadcast.
-    pub completed: u64,
-    /// Cycle the instruction retired.
-    pub retired: u64,
-    /// The memory unit dropped at least one execution pass (§2.4 replay).
-    pub replayed: bool,
-    /// Executed via the ROB-head bypass (§2.2).
-    pub bypassed: bool,
+use crate::event::{Event, Retirement};
+
+/// The shortest suffix of `events` holding its last `n` retirements (all
+/// of `events` when it holds fewer).
+#[must_use]
+pub fn last_retirements(events: &[Event], n: usize) -> &[Event] {
+    let mut retirements = events.iter().enumerate().rev().filter(|(_, e)| e.retirement().is_some());
+    match n.checked_sub(1).map(|skip| retirements.nth(skip)) {
+        None => &[],
+        Some(Some((i, _))) => &events[i..],
+        Some(None) => events,
+    }
 }
 
-/// Renders records as aligned ASCII timelines, `width` columns across.
+/// Renders the retirements among `events` as aligned ASCII timelines,
+/// `width` columns across; every other event kind is skipped.
 ///
 /// Stage markers: `D` dispatch, `I` issue, `C` complete, `R` retire; `=`
 /// fills issue→complete (execution) and `.` fills the other in-flight
 /// spans. When two stages land in the same column the later marker wins.
 /// Replayed instructions are flagged `r`, head-bypassed ones `b`.
 ///
-/// Returns an empty string for an empty slice.
+/// Returns an empty string when `events` holds no retirement.
 #[must_use]
-pub fn render(records: &[PipeRecord], width: usize) -> String {
-    let Some(first) = records.iter().map(|r| r.dispatched).min() else {
+pub fn render(events: &[Event], width: usize) -> String {
+    let lanes: Vec<(u64, &Retirement)> = events.iter().filter_map(Event::retirement).collect();
+    let Some(first) = lanes.iter().map(|(_, r)| r.dispatched).min() else {
         return String::new();
     };
-    let last = records.iter().map(|r| r.retired).max().expect("non-empty");
+    let last = lanes.iter().map(|&(retired, _)| retired).max().expect("non-empty");
     let width = width.max(16);
     let span = last.saturating_sub(first).max(1) as f64;
     let scale = |cycle: u64| -> usize {
         let frac = cycle.saturating_sub(first) as f64 / span;
         ((frac * (width - 1) as f64).round() as usize).min(width - 1)
     };
-    // Tolerate out-of-order stamps (a hand-built record, not the machine's
+    // Tolerate out-of-order stamps (a hand-built event, not the machine's
     // contract) by normalizing each span's endpoints.
     let ordered = |a: usize, b: usize| if a <= b { a..=b } else { b..=a };
 
@@ -84,28 +71,29 @@ pub fn render(records: &[PipeRecord], width: usize) -> String {
     let _ = writeln!(
         out,
         "cycles {first}..{last} ({} instructions; D dispatch, I issue, C complete, R retire)",
-        records.len()
+        lanes.len()
     );
-    for r in records {
+    for (retired, r) in lanes {
         let mut lane = vec![b' '; width];
-        lane[ordered(scale(r.dispatched), scale(r.retired))].fill(b'.');
+        lane[ordered(scale(r.dispatched), scale(retired))].fill(b'.');
         lane[ordered(scale(r.issued), scale(r.completed))].fill(b'=');
         lane[scale(r.dispatched)] = b'D';
         lane[scale(r.issued)] = b'I';
         lane[scale(r.completed)] = b'C';
-        lane[scale(r.retired)] = b'R';
+        lane[scale(retired)] = b'R';
         let flags = match (r.replayed, r.bypassed) {
             (true, true) => "rb",
             (true, false) => "r ",
             (false, true) => " b",
             (false, false) => "  ",
         };
+        let instr = r.instr.to_string();
         let _ = writeln!(
             out,
             "{:>6} pc={:<5} {:<28} {} |{}|",
-            r.seq,
+            r.seq.0,
             r.pc,
-            truncate(&r.instr, 28),
+            truncate(&instr, 28),
             flags,
             String::from_utf8(lane).expect("ascii lane"),
         );
@@ -123,29 +111,33 @@ fn truncate(s: &str, max: usize) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
+    use aim_isa::{Instr, Reg};
+    use aim_types::SeqNum;
 
-    fn rec(seq: u64, d: u64, i: u64, c: u64, r: u64) -> PipeRecord {
-        PipeRecord {
-            seq,
-            pc: seq,
-            instr: format!("op{seq}"),
-            dispatched: d,
-            issued: i,
-            completed: c,
-            retired: r,
-            replayed: false,
-            bypassed: false,
+    /// Instruction `seq`, dispatched, issued and completed at `d`, `i`, `c`.
+    fn timeline(seq: u64, d: u64, i: u64, c: u64) -> Retirement {
+        let instr = Instr::MovImm { rd: Reg::new(1), imm: seq as i64 };
+        Retirement {
+            seq: SeqNum(seq), pc: seq, instr, dispatched: d, issued: i, completed: c,
+            replayed: false, bypassed: false,
         }
+    }
+
+    fn retire(cycle: u64, timeline: Retirement) -> Event {
+        Event { cycle, kind: EventKind::Retire(timeline) }
     }
 
     #[test]
     fn empty_input_renders_empty() {
         assert_eq!(render(&[], 60), "");
+        let replay = Event { cycle: 3, kind: EventKind::Replay { seq: SeqNum(1) } };
+        assert_eq!(render(&[replay], 60), "", "only retirements are drawn");
     }
 
     #[test]
     fn markers_appear_in_stage_order() {
-        let out = render(&[rec(1, 0, 10, 20, 30)], 40);
+        let out = render(&[retire(30, timeline(1, 0, 10, 20))], 40);
         let lane = out.lines().nth(1).unwrap();
         let (d, i) = (lane.find('D').unwrap(), lane.find('I').unwrap());
         let (c, r) = (lane.find('C').unwrap(), lane.find('R').unwrap());
@@ -155,14 +147,15 @@ mod tests {
     #[test]
     fn coincident_stages_keep_the_later_marker() {
         // All four stages in one cycle: R must win the column.
-        let out = render(&[rec(1, 5, 5, 5, 5)], 40);
+        let out = render(&[retire(5, timeline(1, 5, 5, 5))], 40);
         let lane = out.lines().nth(1).unwrap();
         assert!(lane.contains('R') && !lane.contains('D'));
     }
 
     #[test]
     fn lanes_share_one_time_axis() {
-        let out = render(&[rec(1, 0, 1, 2, 3), rec(2, 97, 98, 99, 100)], 50);
+        let early = retire(3, timeline(1, 0, 1, 2));
+        let out = render(&[early, retire(100, timeline(2, 97, 98, 99))], 50);
         let lane = |n: usize| {
             let line = out.lines().nth(n).unwrap();
             let bar = line.find('|').unwrap();
@@ -177,17 +170,29 @@ mod tests {
 
     #[test]
     fn replay_and_bypass_flags_render() {
-        let mut r = rec(1, 0, 1, 2, 3);
-        r.replayed = true;
-        r.bypassed = true;
-        assert!(render(&[r], 40).lines().nth(1).unwrap().contains("rb"));
+        let mut t = timeline(1, 0, 1, 2);
+        t.replayed = true;
+        t.bypassed = true;
+        assert!(render(&[retire(3, t)], 40).lines().nth(1).unwrap().contains("rb"));
     }
 
     #[test]
     fn long_disassembly_is_truncated() {
-        let mut r = rec(1, 0, 1, 2, 3);
-        r.instr = "x".repeat(100);
-        let lane = render(&[r], 40);
-        assert!(lane.lines().nth(1).unwrap().len() < 120);
+        // `movi r31, -9223372036854775808` is 30 characters.
+        let mut t = timeline(1, 0, 1, 2);
+        t.instr = Instr::MovImm { rd: Reg::new(31), imm: i64::MIN };
+        let out = render(&[retire(3, t)], 40);
+        let line = out.lines().nth(1).unwrap();
+        assert!(line.contains("movi r31, -92233720368547758 "), "{line}");
+    }
+
+    #[test]
+    fn last_retirements_is_the_shortest_suffix() {
+        let replay = Event { cycle: 9, kind: EventKind::Replay { seq: SeqNum(7) } };
+        let events = [retire(3, timeline(1, 0, 1, 2)), replay, retire(4, timeline(2, 1, 2, 3)), replay];
+        assert_eq!(last_retirements(&events, 0), &[]);
+        assert_eq!(last_retirements(&events, 1), &events[2..]);
+        assert_eq!(last_retirements(&events, 2), &events[..]);
+        assert_eq!(last_retirements(&events, 5), &events[..]);
     }
 }

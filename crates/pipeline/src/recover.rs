@@ -3,6 +3,7 @@
 
 use aim_types::{SeqNum, ViolationKind};
 
+use crate::event::EventKind;
 use crate::machine::Core;
 use crate::rob::InstrState;
 
@@ -83,9 +84,7 @@ impl Core<'_> {
         let instr = e.instr;
         let predicted_next = e.predicted_next_pc;
         let actual_next = e.actual_next_pc;
-        if self.config.event_trace {
-            self.log(|| format!("complete {seq} pc={pc} result={result:#x}"));
-        }
+        self.emit(|| EventKind::Complete { seq, pc, result });
 
         if let Some(d) = dest {
             self.renamer.write(d.new_phys, result);
@@ -186,12 +185,7 @@ impl Core<'_> {
         resume_cursor: Option<u64>,
         penalty: u64,
     ) {
-        self.log(|| {
-            format!(
-                "recover  squash seq>{} resume pc={resume_pc} (+{penalty} cycles)",
-                survivor.0
-            )
-        });
+        self.emit(|| EventKind::Squash { survivor, resume_pc, penalty });
         let mut squashed = std::mem::take(&mut self.squash_scratch);
         self.rob.squash_after_into(survivor, &mut squashed);
         // The squashed entries held the largest stable positions; drop them

@@ -3,8 +3,8 @@
 
 use aim_isa::Instr;
 
-use crate::machine::{Core, SimError, PIPEVIEW_CAPACITY};
-use crate::pipeview::PipeRecord;
+use crate::event::{EventKind, Retirement};
+use crate::machine::{Core, SimError};
 use crate::rob::{InFlight, InstrState};
 
 impl Core<'_> {
@@ -15,25 +15,20 @@ impl Core<'_> {
                 break;
             }
             let e = self.rob.pop_head().expect("head checked");
-            self.log(|| format!("retire   {} pc={} `{}`", e.seq, e.pc, e.instr));
-            if self.config.validate_retirement {
-                self.validate(&e)?;
-            }
-            if self.config.pipeview {
-                if self.pipe_records.len() == PIPEVIEW_CAPACITY {
-                    self.pipe_records.remove(0);
-                }
-                self.pipe_records.push(PipeRecord {
-                    seq: e.seq.0,
+            self.emit(|| {
+                EventKind::Retire(Retirement {
+                    seq: e.seq,
                     pc: e.pc,
-                    instr: e.instr.to_string(),
+                    instr: e.instr,
                     dispatched: e.dispatched_cycle,
                     issued: e.issued_cycle,
                     completed: e.completed_cycle,
-                    retired: self.cycle,
                     replayed: e.replayed,
                     bypassed: e.bypassed,
-                });
+                })
+            });
+            if self.config.validate_retirement {
+                self.validate(&e)?;
             }
 
             if let Some(d) = e.dest {

@@ -2,7 +2,7 @@
 //! detailed cycle-accurate windows.
 //!
 //! A [`SampleSpec`](aim_types::SampleSpec) on [`SimConfig::sample`] switches
-//! [`Machine::run`] (and every other run entry point) from simulating each
+//! [`Core::run`] (and every other run entry point) from simulating each
 //! instruction cycle-accurately to a classic sampled schedule: `periods`
 //! repetitions of *detail* (`detail_insts` cycle-accurate instructions)
 //! followed by *warm* (`warm_insts` functional instructions), with any
@@ -52,7 +52,7 @@
 //! this warm↔detail handoff.
 //!
 //! [`SimConfig::sample`]: crate::SimConfig::sample
-//! [`Machine::run`]: crate::Machine::run
+//! [`Core::run`]: crate::Core::run
 //!
 //! Multi-core runs ([`crate::MultiMachine`]) schedule cores cycle by cycle
 //! and ignore the sampling policy.
@@ -196,7 +196,7 @@ fn stratified_cycles(
 }
 
 impl Core<'_> {
-    /// The sampled-mode driver behind [`Machine::run`](crate::Machine::run):
+    /// The sampled-mode driver behind [`Core::run`](crate::Core::run):
     /// alternates detail and warm phases per the configured
     /// [`SampleSpec`](aim_types::SampleSpec), then extrapolates whole-run
     /// statistics from the detailed windows.

@@ -108,7 +108,7 @@ impl FlushCounts {
 
 aim_types::record! {
     /// Host-side measurement of the simulation run itself (as opposed to the
-    /// simulated machine): wall-clock time and allocation-tracking counters.
+    /// simulated machine): wall-clock time.
     ///
     /// Everything here depends on the host and is *not* deterministic; code
     /// comparing runs for reproducibility should compare
@@ -117,10 +117,6 @@ aim_types::record! {
     pub struct HostPerf {
         /// Wall-clock nanoseconds spent inside the cycle loop.
         pub wall_ns: u64,
-        /// Event-trace strings actually formatted. Zero whenever
-        /// `SimConfig::event_trace` is off — the regression test for the
-        /// allocation-free hot path asserts exactly that.
-        pub event_strings_built: u64,
     }
 
     /// Coverage record of a sampled (fast-forward) run: how much of the program

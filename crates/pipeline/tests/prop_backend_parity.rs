@@ -16,7 +16,7 @@
 //! re-runs every recorded seed).
 
 use aim_isa::{Interpreter, Reg};
-use aim_pipeline::{BackendChoice, MachineClass, Machine, SimConfig};
+use aim_pipeline::{BackendChoice, Core, MachineClass, SimConfig};
 use aim_workloads::stress::random_program;
 use proptest::prelude::*;
 
@@ -46,7 +46,7 @@ fn check_parity(seed: u64) -> Result<(), TestCaseError> {
     let want_mem = interp.memory().nonzero_bytes();
 
     for (name, cfg) in backend_configs() {
-        let (stats, fin) = Machine::new(&program, &trace, cfg)
+        let (stats, fin) = Core::new(&program, &trace, cfg)
             .run_final()
             .map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
         prop_assert_eq!(stats.retired, trace.len() as u64, "{} retired short", name);

@@ -16,7 +16,7 @@
 
 use aim_isa::{Interpreter, Reg};
 use aim_pipeline::{
-    BackendChoice, FinalState, MachineClass, Machine, SimConfig, SimStats,
+    BackendChoice, Core, FinalState, MachineClass, SimConfig, SimStats,
 };
 use aim_types::SampleSpec;
 use aim_workloads::Scale;
@@ -65,7 +65,7 @@ struct RunOutcome {
 }
 
 fn run(program: &aim_isa::Program, trace: &aim_isa::Trace, cfg: SimConfig) -> RunOutcome {
-    let (stats, fin) = Machine::new(program, trace, cfg)
+    let (stats, fin) = Core::new(program, trace, cfg)
         .run_final()
         .expect("validated run");
     RunOutcome { stats, fin }

@@ -300,29 +300,29 @@ fn xor_fold_hash_fixes_mcf() {
     );
 }
 
-/// The pipeline viewer returns one record per retired instruction (up to
-/// its capacity), with stage cycles in dispatch <= issue <= complete <
-/// retire order and a sequence that matches retirement order.
+/// A recorded run holds one retirement event per retired instruction
+/// (while the ring is not full), with stage cycles in dispatch <= issue <=
+/// complete < retire order and a sequence that matches retirement order.
 #[test]
 fn pipeview_records_are_stage_monotone() {
     let w = aim_workloads::by_name("gzip", aim_workloads::Scale::Tiny).unwrap();
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-    cfg.pipeview = true;
-    let (stats, records) = aim_pipeline::simulate_pipeview(&w.program, &cfg).expect("validated");
-    assert_eq!(
-        records.len() as u64,
-        stats.retired.min(aim_pipeline::PIPEVIEW_CAPACITY as u64)
-    );
+    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let (stats, events) = aim_pipeline::simulate_recorded(&w.program, &cfg).expect("validated");
+    assert!(events.len() < aim_pipeline::EVENT_CAPACITY, "the ring filled up");
+    let records: Vec<(u64, &aim_pipeline::Retirement)> =
+        events.iter().filter_map(aim_pipeline::Event::retirement).collect();
+    assert_eq!(records.len() as u64, stats.retired);
     for pair in records.windows(2) {
-        assert!(pair[0].seq < pair[1].seq, "retirement order");
-        assert!(pair[0].retired <= pair[1].retired);
+        assert!(pair[0].1.seq < pair[1].1.seq, "retirement order");
+        assert!(pair[0].0 <= pair[1].0);
     }
-    for r in &records {
+    for &(retired, r) in &records {
         assert!(r.dispatched <= r.issued, "{r:?}");
         assert!(r.issued <= r.completed, "{r:?}");
-        assert!(r.completed < r.retired, "{r:?}");
+        assert!(r.completed < retired, "{r:?} retired at {retired}");
     }
-    let rendered = aim_pipeline::pipeview::render(&records[..32.min(records.len())], 64);
+    let last_32 = aim_pipeline::pipeview::last_retirements(&events, 32);
+    let rendered = aim_pipeline::pipeview::render(last_32, 64);
     assert_eq!(rendered.lines().count(), 33);
 }
 

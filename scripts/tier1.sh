@@ -136,6 +136,22 @@ AIM_SAMPLED_JSON="$(mktemp)" AIM_SERVE_CACHE="$(mktemp -d)" \
   cargo run --release -q -p aim-serve --bin table_sampled -- --scale tiny \
   | grep -q 'acceptance: worst sampled-vs-detail error'
 
+# The event-stream renderers: `--trace` prints the text log and
+# `--pipeview` draws the retirements of one recorded run; no other step
+# drives either end to end. Each header must be followed by exactly the
+# rendered lines: 32 event lines, and the viewer's cycle line plus 8 lanes.
+echo "== tier1: aim-sim --trace / --pipeview renderers (tiny scale) =="
+TRACE_TAIL="$(cargo run --release -q -p aim-cli --bin aim-sim -- \
+  run gzip --scale tiny --trace 32 | sed -n '/^-- last 32 pipeline events --$/,$p')"
+[ "$(wc -l <<<"$TRACE_TAIL")" -eq 33 ]
+[ "$(grep -cE '^ *[0-9]+  (dispatch|issue   |replay  |complete|recover |retire  ) ' \
+  <<<"$TRACE_TAIL")" -eq 32 ]
+PIPEVIEW_TAIL="$(cargo run --release -q -p aim-cli --bin aim-sim -- \
+  run mcf --scale tiny --filter --pipeview 8 | sed -n '/^-- last 8 retirements --$/,$p')"
+[ "$(wc -l <<<"$PIPEVIEW_TAIL")" -eq 10 ]
+grep -qE '^cycles [0-9]+\.\.[0-9]+ \(8 instructions;' <<<"$PIPEVIEW_TAIL"
+[ "$(grep -cE ' pc=[0-9]+ .*\|[DICR=. ]{64}\|$' <<<"$PIPEVIEW_TAIL")" -eq 8 ]
+
 # Cross-bin warm reuse: a fresh server process over the same cache
 # directory must answer a CLI submission naming one of the matrix cells
 # (huge machine, far tier) from cache, not by simulating.

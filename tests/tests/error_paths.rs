@@ -3,7 +3,7 @@
 //! mis-simulation.
 
 use aim_isa::{Assembler, Interpreter, Reg};
-use aim_pipeline::{BackendChoice, MachineClass, simulate, simulate_pipeview, simulate_traced, SimConfig, SimError};
+use aim_pipeline::{BackendChoice, MachineClass, simulate, simulate_recorded, SimConfig, SimError};
 use aim_predictor::EnforceMode;
 
 fn r(i: u8) -> Reg {
@@ -54,7 +54,7 @@ fn pc_out_of_range_is_a_program_error() {
     }
 }
 
-/// The traced and pipeview entry points propagate the same typed error.
+/// The recorded entry point propagates the same typed error.
 #[test]
 fn all_entry_points_propagate_program_errors() {
     let mut asm = Assembler::new();
@@ -65,11 +65,7 @@ fn all_entry_points_propagate_program_errors() {
     let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
 
     assert!(matches!(
-        simulate_traced(&program, &cfg),
-        Err(SimError::Program(_))
-    ));
-    assert!(matches!(
-        simulate_pipeview(&program, &cfg),
+        simulate_recorded(&program, &cfg),
         Err(SimError::Program(_))
     ));
 }
