@@ -15,11 +15,14 @@
 //! was made at the same scale), and the matrix is replayed on a single
 //! worker and the run fails unless both fingerprints agree (the jobs=N ≡
 //! jobs=1 determinism property); `scripts/tier1.sh` greps the resulting
-//! `hostperf: ACCEPT` acceptance line.
+//! `hostperf: ACCEPT` acceptance line. Against the committed report it
+//! also prints, per config, either what moved (`sim_cycles`/`retired`, both
+//! values, on a fingerprint mismatch) or the `retired_mips` change (on a
+//! match).
 
 use aim_bench::{
-    csv_path_from_args, fingerprint_stats, has_flag, jobs_from_args, rule, run_matrix,
-    run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint,
+    behaviour_diffs, csv_path_from_args, fingerprint_stats, has_flag, jobs_from_args, mips_deltas,
+    rule, run_matrix, run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint,
     HostperfReport, Report,
 };
 
@@ -32,6 +35,7 @@ fn main() {
     let report = HostperfReport::from_matrix(scale, jobs, wall, &spec.configs, &matrix);
     // Read the committed report before this run's report can replace it.
     let committed = HostperfReport::committed_header();
+    let committed_rows = HostperfReport::committed_rows().unwrap_or_default();
 
     println!(
         "Host throughput — {} kernels at --scale {}, all backends on both machine classes",
@@ -85,13 +89,23 @@ fn main() {
         });
         match theirs {
             Some(theirs) if theirs != ours => {
+                // Name the configs whose totals moved; a change can also
+                // move statistics that leave both totals intact.
+                for line in behaviour_diffs(&committed_rows, &report.rows) {
+                    println!("hostperf:   {line}");
+                }
                 println!(
                     "hostperf: REJECT — fingerprint {ours} != committed {path} fingerprint \
                      {theirs} at scale {scale}"
                 );
                 std::process::exit(1);
             }
-            Some(_) => println!("hostperf: fingerprint matches the committed {path} ({ours})"),
+            Some(_) => {
+                println!("hostperf: fingerprint matches the committed {path} ({ours})");
+                for line in mips_deltas(&committed_rows, &report.rows) {
+                    println!("hostperf:   {line}");
+                }
+            }
             None => println!("hostperf: no committed {path} at scale {scale} to compare with"),
         }
         let serial = run_matrix(&prepared, &spec.configs, 1);

@@ -100,17 +100,36 @@ pub fn cache_key(program: &Program, cfg: &SimConfig, code_version: &str) -> Cach
     cache_key_of_texts(&program_text(program), &canonical_config_text(cfg), code_version)
 }
 
-/// [`cache_key`] over already-rendered canonical texts (the server renders
-/// the program text once per kernel and reuses it across configs).
+/// [`cache_key`] over already-rendered canonical texts.
 pub fn cache_key_of_texts(program_text: &str, config_text: &str, code_version: &str) -> CacheKey {
-    let feed = |offset: u64| {
-        let h = fnv1a(offset, code_version.bytes());
-        let h = fnv1a(h, [0u8].into_iter());
-        let h = fnv1a(h, program_text.bytes());
-        let h = fnv1a(h, [0u8].into_iter());
-        fnv1a(h, config_text.bytes())
-    };
-    CacheKey([feed(FNV_OFFSET), feed(FNV_OFFSET ^ SECOND_STREAM_SALT)])
+    KeyPrefix::new(program_text, code_version).key(config_text)
+}
+
+/// Both hash streams of a [`cache_key`] after its `code_version`, program
+/// text and their separators — everything but the config text. The program
+/// text is the bulk of the key's input (hundreds of kilobytes for the
+/// larger kernels), so a server keeps one prefix per kernel and hashes only
+/// the ~1 KB config text per request; the resulting keys are byte-identical
+/// to [`cache_key`]'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyPrefix([u64; 2]);
+
+impl KeyPrefix {
+    /// Hashes `code_version` and `program_text` into both streams.
+    pub fn new(program_text: &str, code_version: &str) -> KeyPrefix {
+        let feed = |offset: u64| {
+            let h = fnv1a(offset, code_version.bytes());
+            let h = fnv1a(h, [0u8].into_iter());
+            let h = fnv1a(h, program_text.bytes());
+            fnv1a(h, [0u8].into_iter())
+        };
+        KeyPrefix([feed(FNV_OFFSET), feed(FNV_OFFSET ^ SECOND_STREAM_SALT)])
+    }
+
+    /// Completes the key with `config_text`.
+    pub fn key(&self, config_text: &str) -> CacheKey {
+        CacheKey(self.0.map(|h| fnv1a(h, config_text.bytes())))
+    }
 }
 
 #[cfg(test)]

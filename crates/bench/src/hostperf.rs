@@ -197,6 +197,43 @@ impl HostperfReport {
     }
 }
 
+/// The rows of `ours` whose simulated behaviour differs from the
+/// same-named `committed` row — `sim_cycles` or `retired` moved, or the
+/// config is new — one line each, naming both values: the "which config
+/// moved" half of a fingerprint mismatch.
+pub fn behaviour_diffs(committed: &[HostperfRow], ours: &[HostperfRow]) -> Vec<String> {
+    ours.iter()
+        .filter_map(|row| match committed.iter().find(|c| c.config == row.config) {
+            None => Some(format!("{}: not in the committed report", row.config)),
+            Some(c) if (c.sim_cycles, c.retired) != (row.sim_cycles, row.retired) => Some(format!(
+                "{}: sim_cycles {} -> {}, retired {} -> {}",
+                row.config, c.sim_cycles, row.sim_cycles, c.retired, row.retired
+            )),
+            Some(_) => None,
+        })
+        .collect()
+}
+
+/// One line per row of `ours` with its `retired_mips` against the
+/// same-named `committed` row: the host-speed ledger of a
+/// behaviour-preserving change.
+pub fn mips_deltas(committed: &[HostperfRow], ours: &[HostperfRow]) -> Vec<String> {
+    ours.iter()
+        .filter_map(|row| {
+            let c = committed.iter().find(|c| c.config == row.config)?;
+            let pct = if c.retired_mips > 0.0 {
+                (row.retired_mips / c.retired_mips - 1.0) * 100.0
+            } else {
+                0.0
+            };
+            Some(format!(
+                "{}: retired_mips {:.3} -> {:.3} ({pct:+.1}%)",
+                row.config, c.retired_mips, row.retired_mips
+            ))
+        })
+        .collect()
+}
+
 impl Report for HostperfReport {
     type Row = HostperfRow;
     const PATH_ENV: &'static str = "AIM_HOSTPERF_JSON";
@@ -247,6 +284,49 @@ mod tests {
         assert!(json.contains("\"machine\": \"baseline\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    fn row(config: &str, sim_cycles: u64, retired_mips: f64) -> HostperfRow {
+        HostperfRow {
+            config: config.to_string(),
+            sim_cycles,
+            retired: 100,
+            retired_mips,
+            ..HostperfRow::default()
+        }
+    }
+
+    #[test]
+    fn diffs_name_each_moved_config_with_both_values() {
+        let committed = [row("base-lsq", 10, 1.0), row("aggr-lsq", 20, 2.0)];
+        let ours = [row("base-lsq", 10, 1.5), row("aggr-lsq", 21, 1.0), row("aggr-new", 5, 1.0)];
+        assert_eq!(
+            behaviour_diffs(&committed, &ours),
+            [
+                "aggr-lsq: sim_cycles 20 -> 21, retired 100 -> 100",
+                "aggr-new: not in the committed report",
+            ]
+        );
+        assert_eq!(
+            mips_deltas(&committed, &ours),
+            [
+                "base-lsq: retired_mips 1.000 -> 1.500 (+50.0%)",
+                "aggr-lsq: retired_mips 2.000 -> 1.000 (-50.0%)",
+            ]
+        );
+    }
+
+    #[test]
+    fn report_rows_read_back_from_json() {
+        let ours = report();
+        let rows = HostperfReport::rows_from_json(&ours.to_json()).expect("rows parse");
+        assert_eq!(rows.len(), 1);
+        assert!(behaviour_diffs(&rows, &ours.rows).is_empty());
+        // The committed small-scale report at the repository root.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hostperf.json");
+        let text = std::fs::read_to_string(path).expect("committed report");
+        let rows = HostperfReport::rows_from_json(&text).expect("committed rows parse");
+        assert_eq!(rows.len(), 12);
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub mod specs;
 mod sweep;
 
 pub use cache_key::{
-    cache_key, cache_key_of_texts, canonical_config_text, program_text, CacheKey, CODE_VERSION,
+    cache_key, cache_key_of_texts, canonical_config_text, program_text, CacheKey, KeyPrefix,
+    CODE_VERSION,
 };
 pub use farmem::{FarMemReport, FarMemRow};
 pub use geometry_sweep::{
@@ -59,8 +60,8 @@ pub use geometry_sweep::{
     KneePoint, PcaxSweepReport, PcaxSweepRow,
 };
 pub use hostperf::{
-    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint, stats_text,
-    HostperfReport, HostperfRow,
+    behaviour_diffs, fingerprint_stats, fingerprint_text, fingerprint_texts, mips_deltas,
+    stats_fingerprint, stats_text, HostperfReport, HostperfRow,
 };
 pub use hybrid::{HybridReport, HybridRow};
 pub use litmus::{litmus_outcomes, LitmusReport, LitmusRow};

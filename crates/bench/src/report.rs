@@ -81,6 +81,23 @@ pub trait Report {
         WireMsg::parse(&format!("{header}\n}}")).ok()
     }
 
+    /// The rows of the committed report at `DEFAULT_PATH` in the working
+    /// directory, if one is there and every row reads back.
+    fn committed_rows() -> Option<Vec<Self::Row>> {
+        Self::rows_from_json(&std::fs::read_to_string(Self::DEFAULT_PATH).ok()?)
+    }
+
+    /// The rows of a report rendered by [`Report::to_json`] (one row per
+    /// line), if every row reads back.
+    fn rows_from_json(text: &str) -> Option<Vec<Self::Row>> {
+        let (_, rows) = text.split_once(&format!("\"{}\": [", Self::ROWS_KEY))?;
+        rows.lines()
+            .map(|line| line.trim().trim_end_matches(','))
+            .filter(|line| line.starts_with('{'))
+            .map(|line| Self::Row::read(&WireMsg::parse(line).ok()?).ok())
+            .collect()
+    }
+
     /// The rows as CSV: a header line of the row record's field names,
     /// then one line per row with the JSON's values (strings unquoted).
     fn to_csv(&self) -> String {

@@ -99,7 +99,7 @@ pub struct SimConfig {
     /// possible alias — so no anti-dependence check is needed. Off by
     /// default (the paper's evaluated design has no filter).
     pub mdt_filter: bool,
-    /// Run the wakeup-list and store-census integrity checks even in
+    /// Run the scheduler and store-census integrity checks even in
     /// release builds (they always run under `debug_assertions`). Wired to
     /// the `--paranoid` CLI flag; off by default because the censuses are
     /// O(window) per cycle.

@@ -57,11 +57,12 @@ impl Core<'_> {
                 *slot = src.map(|r| self.renamer.lookup(r));
             }
             if let Some(arch) = front.instr.def() {
-                entry.dest = Some(
-                    self.renamer
-                        .rename_dest(arch)
-                        .expect("free list checked above"),
-                );
+                let dest = self
+                    .renamer
+                    .rename_dest(arch)
+                    .expect("free list checked above");
+                self.sched.reallocated(dest.new_phys);
+                entry.dest = Some(dest);
             }
             if let Some(k) = kind {
                 let hints = self.dep_pred.on_dispatch(front.pc, &mut self.tags);
@@ -92,7 +93,7 @@ impl Core<'_> {
 
             self.emit(|| EventKind::Dispatch { seq, pc: front.pc, instr: front.instr });
             self.rob.push(entry);
-            self.waiting.push_back(self.rob.stable_of(self.rob.len() - 1));
+            self.schedule_dispatched();
             self.stats.dispatched += 1;
         }
     }

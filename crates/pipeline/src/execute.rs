@@ -1,5 +1,6 @@
-//! Issue/execute stage: wake-up and select, functional evaluation, the
-//! memory-backend execute protocol, and completion-event draining.
+//! Issue/execute stage: select (over the [`crate::sched`] wait structures),
+//! functional evaluation, the memory-backend execute protocol, and
+//! completion-event draining.
 
 use std::cmp::Reverse;
 
@@ -23,42 +24,9 @@ pub(crate) enum MemOutcome {
 
 impl Core<'_> {
     pub(crate) fn issue(&mut self) {
-        let mut budget = self.config.issue_width;
-        let free_events = self.backend.free_event_count();
-        let head_seq = self.rob.head().map(|h| h.seq);
         let mut to_issue = std::mem::take(&mut self.issue_scratch);
         to_issue.clear();
-        self.debug_check_wakeup_list();
-
-        // Walk the wakeup list — exactly the Waiting entries, oldest first —
-        // rather than the whole window; selected entries leave the list (a
-        // replay re-inserts them).
-        let mut pos = 0;
-        while pos < self.waiting.len() && budget > 0 {
-            let idx = self.rob.index_of_stable(self.waiting[pos]);
-            let e = self.rob.get_at(idx);
-            debug_assert_eq!(e.state, InstrState::Waiting, "wakeup list drifted");
-            let at_head = Some(e.seq) == head_seq;
-            if let Some(snapshot) = e.stall_until_free_event {
-                if free_events <= snapshot && !at_head {
-                    pos += 1;
-                    continue;
-                }
-            }
-            if !e.srcs.iter().flatten().all(|&p| self.renamer.is_ready(p)) {
-                pos += 1;
-                continue;
-            }
-            if let Some(tag) = e.dep_consumes {
-                if !self.tags.is_ready(tag) && !at_head {
-                    pos += 1;
-                    continue;
-                }
-            }
-            to_issue.push((e.seq, idx));
-            budget -= 1;
-            self.waiting.remove(pos);
-        }
+        self.select(&mut to_issue);
 
         // The captured queue positions stay valid across the whole drain:
         // executing an instruction never pushes, retires, or squashes ROB
@@ -184,15 +152,13 @@ impl Core<'_> {
         // instruction must retry every cycle instead.
         let stall = allow_stall && self.config.stall_bits && self.backend.uses_stall_bits();
         let free_events = self.backend.free_event_count();
-        // Back onto the wakeup list, in (stable-position) order.
-        let stable = self.rob.stable_of(idx);
-        let at = self.waiting.partition_point(|&s| s < stable);
-        debug_assert_ne!(self.waiting.get(at), Some(&stable), "double replay");
-        self.waiting.insert(at, stable);
         let e = self.rob.get_at_mut(idx);
         e.state = InstrState::Waiting;
         e.replayed = true;
         e.stall_until_free_event = stall.then_some(free_events);
+        // Back into the scheduler: asleep under the stall bit just armed,
+        // or on to the tag and ready checks.
+        self.park(idx);
     }
 
     /// Whether the per-cycle integrity censuses run: always in debug
@@ -201,34 +167,8 @@ impl Core<'_> {
     ///
     /// [`SimConfig::paranoid`]: crate::SimConfig::paranoid
     #[inline]
-    fn checks_enabled(&self) -> bool {
+    pub(crate) fn checks_enabled(&self) -> bool {
         cfg!(debug_assertions) || self.config.paranoid
-    }
-
-    /// Integrity invariant: the wakeup list holds the stable position of
-    /// every Waiting ROB entry, each exactly once, in dispatch order. Drift
-    /// would silently change the issue order (a missed entry never issues; a
-    /// stale one would trip the in-loop state assert). Runs per issue cycle
-    /// and after every squash truncation; see [`Core::checks_enabled`] for
-    /// when.
-    pub(crate) fn debug_check_wakeup_list(&self) {
-        if !self.checks_enabled() {
-            return;
-        }
-        let waiting_in_rob = self
-            .rob
-            .iter()
-            .filter(|e| e.state == InstrState::Waiting)
-            .count();
-        assert_eq!(
-            self.waiting.len(),
-            waiting_in_rob,
-            "wakeup list population drifted from ROB contents"
-        );
-        assert!(
-            self.waiting.iter().zip(self.waiting.iter().skip(1)).all(|(a, b)| a < b),
-            "wakeup list out of order"
-        );
     }
 
     /// Integrity invariant: the store census and granule filter always

@@ -17,6 +17,7 @@ use crate::event::{Event, EventKind, EVENT_CAPACITY};
 use crate::recover::PendingViolation;
 use crate::rename::Renamer;
 use crate::rob::{InFlight, Rob};
+use crate::sched::Scheduler;
 use crate::stats::SimStats;
 
 /// Errors terminating a simulation abnormally.
@@ -135,13 +136,9 @@ pub struct Core<'a> {
     pub(crate) squash_scratch: Vec<InFlight>,
     pub(crate) violation_scratch: Vec<PendingViolation>,
 
-    /// The scheduler's wakeup list: stable ROB positions
-    /// ([`Rob::stable_of`](crate::rob::Rob::stable_of)) of exactly the
-    /// [`InstrState::Waiting`](crate::rob::InstrState) entries, sorted in
-    /// dispatch order. The issue scan walks this instead of the whole
-    /// window; dispatch appends, issue removes, replay re-inserts, and a
-    /// squash truncates the (youngest-last) tail.
-    pub(crate) waiting: VecDeque<u64>,
+    /// The scheduler's operand, stall-bit and ready structures (the tag
+    /// queues live in `tags`); see [`crate::sched`].
+    pub(crate) sched: Scheduler,
 
     /// §4 MDT search filter: count of in-flight stores that have not yet
     /// (successfully) executed, and a counting filter over the granules of
@@ -214,7 +211,7 @@ impl<'a> Core<'a> {
             exec_events: BinaryHeap::new(),
             pending_violations: Vec::new(),
             issue_scratch: Vec::new(),
-            waiting: VecDeque::new(),
+            sched: Scheduler::new(config.phys_regs, config.rob_entries),
             squash_scratch: Vec::new(),
             violation_scratch: Vec::new(),
             unexecuted_stores: 0,

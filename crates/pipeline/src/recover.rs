@@ -88,9 +88,10 @@ impl Core<'_> {
 
         if let Some(d) = dest {
             self.renamer.write(d.new_phys, result);
+            self.wake_consumers(d.new_phys);
         }
         if let Some(tag) = produces {
-            self.tags.mark_ready(tag);
+            self.release_tag(tag);
         }
 
         // Control resolution.
@@ -187,12 +188,10 @@ impl Core<'_> {
     ) {
         self.emit(|| EventKind::Squash { survivor, resume_pc, penalty });
         let mut squashed = std::mem::take(&mut self.squash_scratch);
+        let old_end = self.rob.stable_end();
         self.rob.squash_after_into(survivor, &mut squashed);
-        // The squashed entries held the largest stable positions; drop them
-        // from the (sorted) wakeup list in one truncate.
-        let live = self.rob.stable_end();
-        let keep_waiting = self.waiting.partition_point(|&s| s < live);
-        self.waiting.truncate(keep_waiting);
+        // The squashed entries held the largest stable positions.
+        self.unschedule_squashed(self.rob.stable_end(), old_end);
         // Pending violations are keyed by the raising instruction's sequence
         // number and the vector is sorted by it; every squashed instruction
         // is younger than `survivor`, so one truncate drops them all.
@@ -206,7 +205,7 @@ impl Core<'_> {
             }
             if let Some(tag) = e.dep_produces {
                 // A squashed producer's dependence no longer applies.
-                self.tags.mark_ready(tag);
+                self.release_tag(tag);
             }
             if e.counted_unexecuted {
                 self.unexecuted_stores -= 1;
@@ -245,10 +244,11 @@ impl Core<'_> {
         self.fetch_stall_until = self.fetch_stall_until.max(self.cycle + penalty);
         squashed.clear();
         self.squash_scratch = squashed;
-        // The wakeup-list truncation above and the census decrements are the
-        // squash-path halves of the issue/dispatch bookkeeping; check both
-        // immediately so a drift is pinned to the recovery that caused it.
-        self.debug_check_wakeup_list();
+        // The ready-ring removal, the tag releases and the census decrements
+        // are the squash-path halves of the issue/dispatch bookkeeping; check
+        // them immediately so a drift is pinned to the recovery that caused
+        // it.
+        self.debug_check_scheduler();
         self.debug_check_filter_census();
     }
 }

@@ -2,6 +2,7 @@
 //! backend/predictor retirement notifications.
 
 use aim_isa::Instr;
+use aim_predictor::DepTag;
 
 use crate::event::{EventKind, Retirement};
 use crate::machine::{Core, SimError};
@@ -33,6 +34,11 @@ impl Core<'_> {
 
             if let Some(d) = e.dest {
                 self.renamer.retire(d);
+            }
+            if let Some(tag) = e.dep_produces {
+                // Every older tag's producer has retired or been squashed,
+                // so it is ready: the scoreboard need track only younger.
+                self.tags.purge_older_than(DepTag(tag.0 + 1));
             }
 
             if let Instr::Branch { .. } = e.instr {

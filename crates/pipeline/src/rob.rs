@@ -7,6 +7,7 @@ use aim_predictor::DepTag;
 use aim_types::{MemAccess, SeqNum};
 
 use crate::rename::{PhysReg, RenameDest};
+use crate::sched::Park;
 
 /// Lifecycle of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +74,10 @@ pub struct InFlight {
     /// Store bookkeeping: this store incremented the executed-store granule
     /// filter and must decrement it at retire or squash.
     pub filter_counted: bool,
+    /// Where the scheduler has parked this instruction while it waits.
+    pub(crate) park: Park,
+    /// Sources not yet written, while parked on operands.
+    pub(crate) unready_srcs: u8,
 }
 
 impl InFlight {
@@ -101,6 +106,8 @@ impl InFlight {
             completed_cycle: 0,
             counted_unexecuted: false,
             filter_counted: false,
+            park: Park::None,
+            unready_srcs: 0,
         }
     }
 
@@ -193,7 +200,7 @@ impl Rob {
     /// position plus the number of entries ever retired. Unlike a raw queue
     /// position it survives head pops, and unlike a sequence number it maps
     /// back to a queue position with one subtraction — the scheduler's
-    /// wakeup list holds these. Stable positions of live entries increase
+    /// wait structures hold these. Stable positions of live entries increase
     /// monotonically in dispatch order; a squash frees the largest ones for
     /// reuse (see [`Rob::stable_end`]).
     #[inline]
@@ -254,8 +261,8 @@ impl Rob {
         self.index_of(seq).map(move |i| &mut self.entries[i])
     }
 
-    /// Direct lookup by queue position (as yielded by
-    /// [`Rob::iter_from_seq`]). Positions are stable only while no
+    /// Direct lookup by queue position (see also
+    /// [`Rob::index_of_stable`]). Positions are stable only while no
     /// push/pop/squash intervenes; the execute stage relies on this to look
     /// an instruction up once per issue and reuse the position thereafter.
     ///
@@ -305,19 +312,6 @@ impl Rob {
     /// Iterates over in-flight instructions, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &InFlight> {
         self.entries.iter()
-    }
-
-    /// Iterates oldest-first over the suffix of instructions with
-    /// `seq >= bound`, yielding each entry's queue position alongside it.
-    /// With `bound = SeqNum(0)` this covers the whole buffer; the issue
-    /// stage uses it to skip the long already-issued prefix and to capture
-    /// stable positions for [`Rob::get_at`] during the issue drain.
-    pub fn iter_from_seq(&self, bound: SeqNum) -> impl Iterator<Item = (usize, &InFlight)> {
-        let start = self.entries.partition_point(|e| e.seq < bound);
-        self.entries
-            .range(start..)
-            .enumerate()
-            .map(move |(i, e)| (start + i, e))
     }
 
     /// Iterates mutably, oldest first.

@@ -414,7 +414,7 @@ fn aggressive_true_dep_recovery_squashes_less() {
     );
 }
 
-/// `--paranoid` runs the wakeup-list and store-census integrity checks in
+/// `--paranoid` runs the scheduler and store-census integrity checks in
 /// release builds too; both are invoked at the end of every
 /// `squash_and_redirect`, so a run with plenty of mispredict *and*
 /// violation squashes exercises the truncation bookkeeping directly: any

@@ -322,3 +322,30 @@ fn matrix_requests_stay_byte_identical() {
     let hash = aim_bench::fingerprint_texts(requests.iter().map(String::as_str));
     assert_eq!(hash, 0xb8a1_80eb_8721_69d1, "wire request bytes moved: {hash:#018x}");
 }
+
+/// The server hashes each kernel's program text once and reuses the
+/// stream states for every config; the keys it derives that way must stay
+/// byte-identical to [`aim_bench::cache_key`]'s, or existing cache
+/// directories would silently go cold.
+#[test]
+fn memoized_server_keys_equal_cache_key() {
+    let dir = std::env::temp_dir().join(format!("aim_serve_key_prefix_{}", std::process::id()));
+    let server = aim_serve::Server::new(&dir, 1).expect("open cache");
+    let configs = aim_serve::hostperf_configs();
+    assert_eq!(configs.len(), 12);
+    for scale in [aim_workloads::Scale::Tiny, aim_workloads::Scale::Small] {
+        for workload in aim_workloads::all(scale) {
+            for (name, spec) in &configs {
+                let job = spec.job(workload.name, scale);
+                assert_eq!(
+                    server.key_of(&job),
+                    Ok(aim_bench::cache_key(&workload.program, &spec.to_config(), CODE_VERSION)),
+                    "{} at {scale} under {name}",
+                    workload.name
+                );
+            }
+        }
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
